@@ -21,6 +21,10 @@ contract threatened:
     ``np.argsort`` / ``np.sort`` without ``kind="stable"`` in merge
     paths.  The default introsort reorders equal keys unpredictably,
     breaking the canonical ``(-similarity, index)`` tie-break.
+    ``np.argpartition`` is flagged outright: it returns an *order* and
+    has no stable kind.  ``np.partition`` is not — a merge may take the
+    kth *value* from it (the top-k pre-filter of ``core/search.py``) and
+    let the record index settle ties.
 """
 
 from __future__ import annotations
@@ -216,7 +220,7 @@ def check_narrow_float_dtype(context: FileContext) -> Iterator[Finding]:
 @rule(
     code="RL103",
     name="unstable-merge-sort",
-    summary="np.argsort/np.sort without kind='stable' in a merge path",
+    summary="np.argsort/np.sort without kind='stable', or np.argpartition, in a merge path",
     invariant="canonical (-similarity, index) tie-break in every merge",
     scope=_MERGE_PATH,
 )
@@ -225,12 +229,22 @@ def check_unstable_merge_sort(context: FileContext) -> Iterator[Finding]:
         if not isinstance(node, ast.Call):
             continue
         name = dotted_name(node.func)
+        line, col = location(node)
+        if name in {"np.argpartition", "numpy.argpartition"}:
+            yield (
+                line,
+                col,
+                f"{name} in a merge path: introselect places equal "
+                "similarities in no defined order and has no stable kind; "
+                "take the kth value with np.partition and break ties by "
+                "record index",
+            )
+            continue
         if name not in {"np.argsort", "numpy.argsort", "np.sort", "numpy.sort"}:
             continue
         kind = keyword_value(node, "kind")
         if isinstance(kind, ast.Constant) and kind.value == "stable":
             continue
-        line, col = location(node)
         yield (
             line,
             col,

@@ -4,10 +4,32 @@ Both searches are *exact*: groups are only skipped when the TGM upper bound
 proves no member can qualify, and every surviving member is verified with
 the exact similarity.
 
-kNN uses best-first group visiting: groups are scored once
-(``O(n · |Q|)``), sorted by descending bound, and visited until the next
-bound cannot beat the current kth similarity.  Ties on similarity are broken
-by record index so results are deterministic.
+kNN is best-first over groups: they are scored once (``O(n · |Q|)``),
+ranked by descending bound, and visited until the next bound is strictly
+below the current kth similarity.  A bound is a function of the covered
+token count, so a query sees at most ``|Q|`` distinct positive bound
+values and the ranking falls into that many **tie classes** — maximal
+runs of groups with equal bound.  The sequential walk never stops inside
+a tie class (the lemma and its proof are in :func:`knn_visit_groups`),
+so the columnar path advances a class at a time, as a *wavefront*: the
+class's members are concatenated from the TGM's cached member arrays,
+verified by the kernel in bounded chunks (``_WAVE_CHUNK`` records, so
+temporaries stay cache-sized), filtered against the current and the
+chunk's own kth similarity on the array side, and only the handful of
+survivors go through ``heapq``.  Kernel calls and Python-level work per
+query therefore scale with ``|Q|`` and ``k``, not with the number of
+groups or candidates; matches and every ``QueryStats`` counter equal the
+sequential walk's.  Ties on similarity are broken by record index so
+results are deterministic.  Range search collects the members of every
+surviving group through the same chunked helper and selects with the
+threshold on the similarity vector.
+
+There is one columnar path and one oracle: ``verify="columnar"``
+(default, :mod:`repro.core.columnar`) runs the above over the dataset's
+CSR view with bit-identical similarities; ``verify="scalar"`` is the
+sequential per-group, per-record walk — the algorithm as the paper
+states it, kept as the escape hatch and as the reference every test
+compares the wavefront against.
 
 The building blocks are exposed for reuse: :func:`query_group_bounds`
 scores one TGM, :func:`knn_visit_groups` / :func:`range_collect_groups`
@@ -15,19 +37,13 @@ verify one TGM's surviving groups into a shared heap / match list, and
 :func:`finalize_result` applies the canonical ``(-similarity, index)``
 tie-break and stats finalization.  The batch layer and the sharded engine
 (:mod:`repro.distributed`) are built from the same pieces, so all query
-paths share one definition of result order.
-
-Verification runs through the columnar kernel by default
-(``verify="columnar"``, :mod:`repro.core.columnar`): surviving groups are
-scored in vectorized shots over the dataset's CSR view, with bit-identical
-similarities; ``verify="scalar"`` keeps the per-record walk as the escape
-hatch and test oracle.
+paths share one definition of result order — and of the visit.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -124,26 +140,81 @@ def query_group_bounds(
     return bounds
 
 
-def _verified_similarities(
+# Records per kernel call.  A tie class can hold most of the database; the
+# kernel's temporaries (gather index, tokens, counts, contributions) are a
+# few dozen bytes per gathered entry, and chunks of this size keep them
+# cache-sized instead of fresh multi-megabyte allocations — which is both
+# faster (no page faults) and what keeps peak RSS where the per-group loop
+# had it.  A constant, not a knob: no workload wants another value.
+_WAVE_CHUNK = 2048
+
+
+def _count_verified(stats: QueryStats, count: int) -> None:
+    stats.candidates_verified += count
+    stats.similarity_computations += count
+
+
+def _verified_chunks(
+    tgm: TokenGroupMatrix,
+    group_ids: Iterable[int],
+    verifier: GroupVerifier,
+    stats: QueryStats,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Kernel-verify the listed groups' members, ``_WAVE_CHUNK`` at a time.
+
+    Yields ``(record indices, similarities)`` array pairs that together
+    cover the groups' members once each, groups in the order given and
+    members in list order.  ``verifier`` is an opaque callable (sized
+    index sequence in, similarity vector out); similarities are
+    elementwise, so how the members are cut into calls cannot change them.
+    """
+    members = tgm.members_of(group_ids)
+    _count_verified(stats, len(members))
+    for start in range(0, len(members), _WAVE_CHUNK):
+        chunk = members[start:start + _WAVE_CHUNK]
+        yield chunk, verifier(chunk)
+
+
+def _scalar_similarities(
     dataset: Dataset,
     query: SetRecord,
     members: list[int],
     measure: Similarity,
-    verifier: GroupVerifier | None,
     stats: QueryStats,
-) -> zip:
-    """Exact similarities of one group's members, as (index, sim) pairs.
+) -> list[float]:
+    """The oracle walk: one ``measure(query, record)`` call per member."""
+    _count_verified(stats, len(members))
+    return [measure(query, dataset.records[index]) for index in members]
 
-    The vectorized kernel scores the whole group in one shot; the scalar
-    fallback walks one record at a time.  Either way every member counts
-    once towards ``candidates_verified`` / ``similarity_computations`` and
-    the similarities are bit-identical.
+
+def _push(heap: list[tuple[float, int]], k: int, entry: tuple[float, int]) -> None:
+    if len(heap) < k:
+        heapq.heappush(heap, entry)
+    elif entry > heap[0]:
+        heapq.heapreplace(heap, entry)
+
+
+def _merge_top_k(
+    heap: list[tuple[float, int]], k: int, members: np.ndarray, sims: np.ndarray
+) -> None:
+    """Fold one verified chunk into the top-k heap.
+
+    Equivalent to pushing every ``(similarity, -index)`` entry, but entries
+    that cannot enter are dropped on the array side first: those strictly
+    below the current kth similarity when the heap is full, then those
+    strictly below the chunk's own kth largest similarity (``k`` chunk
+    entries at or above it outrank them).  Ties with either value are
+    kept — the record index decides them in the heap.  ``np.partition``
+    yields a *value* here, never an order.
     """
-    stats.candidates_verified += len(members)
-    stats.similarity_computations += len(members)
-    if verifier is not None:
-        return zip(members, verifier(members).tolist())
-    return zip(members, [measure(query, dataset.records[index]) for index in members])
+    if len(heap) >= k:
+        keep = sims >= heap[0][0]
+        members, sims = members[keep], sims[keep]
+    if len(sims) > k:
+        keep = sims >= np.partition(sims, len(sims) - k)[len(sims) - k]
+        members, sims = members[keep], sims[keep]
+    for entry in zip(sims.tolist(), (-members).tolist()):
+        _push(heap, k, entry)
 
 
 def knn_visit_groups(
@@ -167,11 +238,33 @@ def knn_visit_groups(
     group is only skipped when its bound is *strictly* below the current
     kth similarity.
 
-    With a ``verifier`` (the columnar kernel), each surviving group's
-    members are scored in one vectorized shot; heap maintenance stays
-    scalar but consumes the precomputed similarity vector.  Without one,
-    each member is verified with the scalar ``measure(query, record)``
-    walk.  Both paths produce bit-identical heaps and stats.
+    Groups are ranked by descending bound and the stop rule is tested
+    before each step.  Without a ``verifier`` a step is one group,
+    verified record by record with ``measure(query, record)``: the
+    sequential algorithm of Section 6, kept as the oracle.  With one (the
+    columnar kernel) a step is a *tie class* — a maximal run of groups
+    with equal bound — verified in bounded kernel shots and merged on the
+    array side (:func:`_merge_top_k`).  The two visit the same groups:
+
+    **Tie-class lemma.**  If the sequential walk visits group ``j``, it
+    visits every group whose bound equals ``bound_j``.
+    *Proof.*  Just before ``j`` was visited, fewer than ``k`` heap entries
+    were strictly above ``bound_j`` — with ``k`` of them the kth similarity
+    would exceed ``bound_j`` and ``j`` would have been pruned.  Members of
+    ``j`` are at most ``bound_j`` (the bound is sound), so visiting ``j``
+    adds no entry above it: a full heap still has kth ≤ ``bound_j``, and
+    the next group, if tied with ``j``, passes the stop rule.  By
+    induction the whole run does.  ∎
+
+    Hence testing the stop rule once per tie class visits exactly the
+    sequential walk's groups, and since the top ``k`` of a fixed candidate
+    set under the total order ``(similarity, -index)`` is unique, the
+    heap's contents and ``stats`` (``candidates_verified``,
+    ``groups_pruned``) are identical too — for a private heap and a
+    shared one alike, as the proof never asks where heap entries came
+    from.  (If rounding ever lifts a float similarity an ulp above its
+    bound, the wavefront can only finish the class the sequential walk
+    broke off in: it verifies more, never less.)
 
     Groups whose bound is exactly 0 share no token with the query: their
     members are provably at similarity 0 and are never verified.  Their
@@ -180,27 +273,33 @@ def knn_visit_groups(
     """
     measure = measure if measure is not None else tgm.measure
     order = np.argsort(-bounds, kind="stable")
-    visited_groups = 0
-    for position, group_id in enumerate(order):
-        bound = bounds[group_id]
+    groups: list[int] = order.tolist()
+    ranked: list[float] = bounds[order].tolist()
+    position = 0
+    while position < len(groups):
+        bound = ranked[position]
         if bound <= 0.0:
             # Bounds are sorted: this and all remaining groups are at 0.
             if zero_candidates is not None:
-                for zero_group in order[position:]:
-                    zero_candidates.append(tgm.group_members[int(zero_group)])
+                zero_candidates.extend(tgm.group_members[g] for g in groups[position:])
             break
         if len(heap) >= k and bound < heap[0][0]:
             break
-        visited_groups += 1
-        members = tgm.group_members[int(group_id)]
-        scored = _verified_similarities(dataset, query, members, measure, verifier, stats)
-        for record_index, similarity in scored:
-            entry = (similarity, -record_index)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry > heap[0]:
-                heapq.heapreplace(heap, entry)
-    stats.groups_pruned += tgm.num_groups - visited_groups
+        end = position + 1
+        if verifier is None:
+            members = tgm.group_members[groups[position]]
+            sims = _scalar_similarities(dataset, query, members, measure, stats)
+            for record_index, similarity in zip(members, sims):
+                _push(heap, k, (similarity, -record_index))
+        else:
+            while end < len(groups) and ranked[end] == bound:
+                end += 1
+            wave = _verified_chunks(tgm, groups[position:end], verifier, stats)
+            for chunk, chunk_sims in wave:
+                _merge_top_k(heap, k, chunk, chunk_sims)
+        position = end
+    # Both breaks leave ``position`` at the first unvisited group.
+    stats.groups_pruned += tgm.num_groups - position
 
 
 def pad_zero_matches(
@@ -245,24 +344,27 @@ def range_collect_groups(
 ) -> None:
     """Verify one TGM's surviving groups into a shared match list.
 
-    With a ``verifier`` each surviving group is scored by the columnar
-    kernel in one shot; the threshold filter then consumes the similarity
-    vector.  Results and stats match the scalar path bit for bit.
+    Range search verifies every member of every surviving group, so with
+    a ``verifier`` the whole TGM's candidates go through the kernel as one
+    member array in bounded chunks and the threshold selects on the
+    similarity vector.  Candidate order — groups in id order, members in
+    list order — is that of the scalar walk (no ``verifier``: one
+    ``measure`` call per member, the oracle), so matches and stats are
+    identical bit for bit.
     """
     measure = measure if measure is not None else tgm.measure
-    surviving = np.flatnonzero(bounds >= threshold)
-    # Range search verifies every member of every surviving group, so the
-    # whole TGM's candidates can go through the kernel in one shot — one
-    # gather/reduce instead of one per group.  Candidate order (groups in
-    # id order, members in list order) matches the scalar walk, so the
-    # match list comes out identical.
-    candidates = [
-        index for group_id in surviving for index in tgm.group_members[int(group_id)]
-    ]
-    scored = _verified_similarities(dataset, query, candidates, measure, verifier, stats)
-    for record_index, similarity in scored:
-        if similarity >= threshold:
-            matches.append((record_index, similarity))
+    surviving: list[int] = np.flatnonzero(bounds >= threshold).tolist()
+    if verifier is None:
+        for group_id in surviving:
+            members = tgm.group_members[group_id]
+            sims = _scalar_similarities(dataset, query, members, measure, stats)
+            for record_index, similarity in zip(members, sims):
+                if similarity >= threshold:
+                    matches.append((record_index, similarity))
+    else:
+        for chunk, chunk_sims in _verified_chunks(tgm, surviving, verifier, stats):
+            keep = chunk_sims >= threshold
+            matches.extend(zip(chunk[keep].tolist(), chunk_sims[keep].tolist()))
     stats.groups_pruned += tgm.num_groups - len(surviving)
 
 

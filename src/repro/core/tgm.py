@@ -59,6 +59,10 @@ class TokenGroupMatrix:
         self.measure = get_measure(measure)
         self.backend = backend
         self.group_members: list[list[int]] = [list(group) for group in groups]
+        # int64 copies of the member lists for the verification kernel,
+        # built on first use; ``register``/``unregister`` — the only
+        # in-place mutators of ``group_members`` — drop the touched group's.
+        self._member_arrays: list[np.ndarray | None] = [None] * len(self.group_members)
         self._group_of: dict[int, int] = {
             record_index: group_id
             for group_id, members in enumerate(self.group_members)
@@ -113,6 +117,24 @@ class TokenGroupMatrix:
     @property
     def universe_size(self) -> int:
         return self._universe_size
+
+    def members_of(self, group_ids: Iterable[int]) -> np.ndarray:
+        """Record indices of the listed groups as one ``int64`` array.
+
+        Groups come in the order given and members in list order — the
+        candidate order of a per-group walk.  The result is a fresh array;
+        the per-group arrays it is concatenated from are cached.
+        """
+        arrays: list[np.ndarray] = []
+        for group_id in group_ids:
+            cached = self._member_arrays[group_id]
+            if cached is None:
+                cached = np.array(self.group_members[group_id], dtype=np.int64)
+                self._member_arrays[group_id] = cached
+            arrays.append(cached)
+        if not arrays:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate(arrays)
 
     def contains(self, group_id: int, token_id: int) -> bool:
         """``M[g, t]`` as a boolean."""
@@ -204,6 +226,7 @@ class TokenGroupMatrix:
         if max_token >= self._universe_size:
             self.extend_universe(max_token + 1)
         self.group_members[group_id].append(record_index)
+        self._member_arrays[group_id] = None
         self._group_of[record_index] = group_id
         self._set_bits(group_id, record.distinct)
 
@@ -221,6 +244,7 @@ class TokenGroupMatrix:
         if group_id is None:
             raise KeyError(f"record {record_index} is not registered in any group")
         self.group_members[group_id].remove(record_index)
+        self._member_arrays[group_id] = None
         return group_id
 
     def rebuild_bits(self, dataset: Dataset) -> None:

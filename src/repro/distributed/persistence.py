@@ -479,6 +479,12 @@ def _load_sharded(
             removed[op["index"]] = shard_id
     for shard_id, groups in enumerate(all_groups):
         apply_group_ops(groups, ops, shard=shard_id)
+    # Every shard build reads the dataset's (mapped) CSR view and starts by
+    # syncing it; ColumnarView.sync is not thread-safe, so the replayed
+    # tail is synced here, once, before builds can run on pool threads
+    # (eagerly below, or lazily inside parallel="thread" queries).
+    if dataset._columnar is not None:
+        dataset._columnar.sync()
 
     def shard_builder(
         groups: list[list[int]], backend: str

@@ -624,10 +624,14 @@ class MappedColumnarView(ColumnarView):
         total = int(lengths.sum())
         boundaries = np.cumsum(lengths) - lengths
         gather = np.arange(total, dtype=np.int64) + np.repeat(starts - boundaries, lengths)
-        in_tail = gather >= self._base_nnz
-        if not in_tail.any():
+        # A record lies wholly in the mapping or wholly in the RAM tail, so
+        # which side a gather touches is decided per record, not per entry
+        # — and not at all while the tail is empty.
+        tail_records = starts >= self._base_nnz if self._nnz > self._base_nnz else None
+        if tail_records is None or not tail_records.any():
             return self._tokens[gather], self._counts[gather], boundaries, lengths
         assert self._tail_tokens is not None and self._tail_counts is not None
+        in_tail = np.repeat(tail_records, lengths)
         tokens = np.empty(total, dtype=np.int64)
         counts = np.empty(total, dtype=np.int64)
         in_base = ~in_tail

@@ -106,6 +106,14 @@ class TestUnstableMergeSort:
     def test_stable_kind_is_silent(self):
         assert codes("order = np.argsort(scores, kind='stable')\n", module_path=DISTRIBUTED) == []
 
+    def test_argpartition_fires_whatever_its_kind(self):
+        source = "top = np.argpartition(sims, len(sims) - k, kind='introselect')[-k:]\n"
+        assert codes(source, module_path=DISTRIBUTED) == ["RL103"]
+
+    def test_partition_for_the_kth_value_is_silent(self):
+        source = "keep = sims >= np.partition(sims, len(sims) - k)[len(sims) - k]\n"
+        assert codes(source, module_path=DISTRIBUTED) == []
+
     def test_python_sorted_is_silent(self):
         assert codes("order = sorted(scores)\n", module_path=DISTRIBUTED) == []
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.core import (
     LES3,
     Dataset,
@@ -10,7 +11,9 @@ from repro.core import (
     range_search,
     validate_tgm,
 )
+from repro.core.persistence import save_engine
 from repro.core.updates import remove_set
+from repro.maintenance import compact_index
 from repro.partitioning import MinTokenPartitioner
 from repro.workloads import sample_queries
 
@@ -118,6 +121,41 @@ class TestEngineLifecycle:
         assert engine.knn(["x", "y"], k=1).matches[0][1] < 1.0
         new_index, _ = engine.insert(["x", "y"])
         assert engine.knn(["x", "y"], k=1).matches[0] == (new_index, 1.0)
+
+    @pytest.mark.parametrize(
+        "then", ["reinsert_same_group", "extend_universe", "rebuild_bits", "compact_reload"]
+    )
+    def test_kernel_member_arrays_follow_membership(self, then, tmp_path):
+        """A removed record must leave the kernel's cached member arrays too.
+
+        ``reinsert_same_group`` is the trap: the group's length is back to
+        what it was, so a cache validated by length would serve record 0.
+        """
+        dataset = Dataset.from_token_lists(
+            [["a", "b"], ["a", "b", "c"], ["c", "d"], ["d", "e"]]
+        )
+        save_engine(LES3(dataset, TokenGroupMatrix(dataset, [[0, 1], [2, 3]])), tmp_path / "idx")
+        engine = repro.load(tmp_path / "idx")
+        assert engine.knn(["a", "b"], k=4).matches[0] == (0, 1.0)  # arrays now cached
+        assert engine.remove(0) == 0
+        assert engine.knn(["a", "b"], k=4).indices()[0] == 1  # re-cached without 0
+        expected = [1]
+        if then == "reinsert_same_group":
+            assert engine.insert(["a", "b"]) == (4, 0)
+            assert engine.tgm.group_members[0] == [1, 4]
+            expected = [4, 1]
+        elif then == "extend_universe":
+            assert engine.insert(["a", "never-seen"]) == (4, 0)
+            expected = [1, 4]
+        elif then == "rebuild_bits":
+            engine.tgm.rebuild_bits(engine.dataset)
+        else:
+            compact_index(tmp_path / "idx")
+            engine = repro.load(tmp_path / "idx")
+        for verify in ("columnar", "scalar"):
+            result = engine.knn(["a", "b"], k=4, verify=verify)
+            assert [index for index, sim in result.matches if sim > 0.0] == expected
+            assert 0 not in result.indices()
 
     def test_default_group_count_rule(self, zipf_small):
         from repro.core.engine import suggest_num_groups

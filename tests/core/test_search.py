@@ -1,11 +1,18 @@
 """Exactness and behaviour tests for TGM range / kNN search."""
 
+import heapq
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import BruteForceSearch
-from repro.core import TokenGroupMatrix, knn_search, range_search
+from repro.core import Dataset, TokenGroupMatrix, knn_search, range_search
+from repro.core import search as search_module
+from repro.core.metrics import QueryStats
+from repro.core.search import knn_visit_groups, range_collect_groups
 from repro.core.sets import SetRecord
 from repro.partitioning import MinTokenPartitioner, RandomPartitioner
 from repro.workloads import perturbed_queries, sample_queries
@@ -132,3 +139,100 @@ def test_property_range_equals_brute_force(zipf_small, query_tokens, threshold):
     expected = BruteForceSearch(zipf_small).range_search(query, threshold)
     actual = range_search(zipf_small, tgm, query, threshold)
     assert actual.matches == expected.matches
+
+
+# -- the tie-class wavefront against the sequential walk --------------------
+
+_LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]  # few distinct values: heavy ties everywhere
+
+
+def sequential_knn(groups, bounds, sims, k, heap):
+    """Section 6 verbatim: stop rule before every group, every member pushed."""
+    order = sorted(range(len(groups)), key=lambda g: -bounds[g])  # stable
+    verified = 0
+    for position, group_id in enumerate(order):
+        if bounds[group_id] <= 0.0:
+            return verified, len(groups) - position, [groups[g] for g in order[position:]]
+        if len(heap) >= k and bounds[group_id] < heap[0][0]:
+            return verified, len(groups) - position, []
+        for index in groups[group_id]:
+            verified += 1
+            entry = (sims[index], -index)
+            if len(heap) < k:
+                heapq.heappush(heap, entry)
+            elif entry > heap[0]:
+                heapq.heapreplace(heap, entry)
+    return verified, 0, []
+
+
+@st.composite
+def visit_cases(draw):
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=8))
+    indices = draw(st.permutations(range(sum(sizes))))
+    groups, start = [], 0
+    for size in sizes:
+        groups.append(list(indices[start:start + size]))
+        start += size
+    bounds = [draw(st.sampled_from(_LEVELS)) for _ in groups]
+    sims = [0.0] * len(indices)
+    for members, bound in zip(groups, bounds):
+        for index in members:
+            sims[index] = min(bound, draw(st.sampled_from(_LEVELS)))
+    k = draw(st.integers(1, len(indices) + 3))
+    # Answers another shard already put in the shared heap: foreign indices.
+    prefill = draw(st.lists(st.sampled_from(_LEVELS), max_size=k))
+    heap = [(sim, -(len(indices) + offset)) for offset, sim in enumerate(prefill)]
+    heapq.heapify(heap)
+    return groups, bounds, sims, k, heap
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=visit_cases(),
+    chunk=st.sampled_from([1, 3, 2048]),
+    threshold=st.sampled_from(_LEVELS),
+)
+def test_property_wavefront_equals_sequential_walk(case, chunk, threshold):
+    groups, bounds, sims, k, prefilled = case
+    # Record i holds the single token i, so a fake measure can look its
+    # similarity up; the fake verifier is the kernel's protocol — a sized
+    # index sequence in, a similarity vector out.
+    dataset = Dataset.from_token_lists([[str(i)] for i in range(len(sims))])
+    tgm = TokenGroupMatrix(dataset, groups)
+    bounds_array = np.array(bounds, dtype=np.float64)
+    sims_array = np.array(sims, dtype=np.float64)
+    query = SetRecord([0])
+
+    def measure(_query, record):
+        return sims[record.tokens[0]]
+
+    def verifier(members):
+        return sims_array[np.asarray(members, dtype=np.int64)]
+
+    expected_heap = list(prefilled)
+    verified, pruned, zeros = sequential_knn(groups, bounds, sims, k, expected_heap)
+    with mock.patch.object(search_module, "_WAVE_CHUNK", chunk):
+        for kernel in (None, verifier):  # the scalar oracle, then the wavefront
+            heap, stats, zero_candidates = list(prefilled), QueryStats(), []
+            knn_visit_groups(
+                dataset, tgm, query, k, bounds_array, heap, stats, measure,
+                zero_candidates, kernel,
+            )
+            assert sorted(heap) == sorted(expected_heap)
+            assert (stats.candidates_verified, stats.groups_pruned) == (verified, pruned)
+            assert stats.similarity_computations == verified
+            assert zero_candidates == zeros
+
+        outcomes = []
+        for kernel in (None, verifier):
+            matches, stats = [], QueryStats()
+            range_collect_groups(
+                dataset, tgm, query, threshold, bounds_array, matches, stats, measure, kernel
+            )
+            outcomes.append((matches, stats.candidates_verified, stats.groups_pruned))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [
+            (index, sims[index])
+            for members, bound in zip(groups, bounds) if bound >= threshold
+            for index in members if sims[index] >= threshold
+        ]

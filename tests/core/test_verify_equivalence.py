@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core import search
 from repro.core.batch import batch_knn_search, batch_range_search
 from repro.core.dataset import Dataset
 from repro.core.engine import LES3
@@ -44,14 +45,17 @@ class TestSingleEngine:
     @pytest.mark.parametrize("measure", sorted(["jaccard", "dice", "cosine", "overlap", "containment"]))
     @pytest.mark.parametrize("make", [lambda: zipf_dataset(150, 250, (2, 8), seed=5),
                                       lambda: multiset_dataset(6)])
-    def test_knn_and_range(self, measure, make):
+    # 3: every tie class and every range candidate list spans many kernel chunks.
+    @pytest.mark.parametrize("chunk", [3, search._WAVE_CHUNK])
+    def test_knn_and_range(self, measure, make, chunk, monkeypatch):
+        monkeypatch.setattr(search, "_WAVE_CHUNK", chunk)
         dataset = make()
         engine = LES3.build(
             dataset, num_groups=8, partitioner=MinTokenPartitioner(), measure=measure
         )
         queries = sample_queries(dataset, 8, seed=1) + perturbed_queries(dataset, 8, seed=2)
         for query in queries:
-            for k in (1, 4, 12):
+            for k in (1, 4, 12, len(dataset) + 5):
                 assert_same_result(
                     engine.knn_record(query, k, verify="scalar"),
                     engine.knn_record(query, k, verify="columnar"),
@@ -96,10 +100,11 @@ class TestBatch:
             columnar = batch_range_search(dataset, engine.tgm, queries, threshold, verify="columnar")
             for a, b in zip(scalar, columnar):
                 assert_same_result(a, b)
-        scalar = batch_knn_search(dataset, engine.tgm, queries, 7, verify="scalar")
-        columnar = batch_knn_search(dataset, engine.tgm, queries, 7, verify="columnar")
-        for a, b in zip(scalar, columnar):
-            assert_same_result(a, b)
+        for k in (1, 7, len(dataset) + 5):
+            scalar = batch_knn_search(dataset, engine.tgm, queries, k, verify="scalar")
+            columnar = batch_knn_search(dataset, engine.tgm, queries, k, verify="columnar")
+            for a, b in zip(scalar, columnar):
+                assert_same_result(a, b)
 
 
 class TestSharded:
@@ -113,10 +118,11 @@ class TestSharded:
         assert sharded.verify == "columnar"
         queries = sample_queries(dataset, 8, seed=6) + perturbed_queries(dataset, 6, seed=7)
         for query in queries:
-            assert_same_result(
-                sharded.knn_record(query, 6, verify="scalar"),
-                sharded.knn_record(query, 6, verify="columnar"),
-            )
+            for k in (1, 6, len(dataset) + 5):
+                assert_same_result(
+                    sharded.knn_record(query, k, verify="scalar"),
+                    sharded.knn_record(query, k, verify="columnar"),
+                )
             assert_same_result(
                 sharded.range_record(query, 0.4, verify="scalar"),
                 sharded.range_record(query, 0.4, verify="columnar"),

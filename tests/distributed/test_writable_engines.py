@@ -16,6 +16,8 @@ The historical failure modes this file pins down:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,49 @@ class TestMmapMutation:
             assert reloaded.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches == expected
             assert 5 in reloaded.removed
             assert reloaded._shard_of[index] == shard
+
+    def test_replayed_tail_is_synced_before_concurrent_shard_builds(
+        self, sharded_dir, monkeypatch
+    ):
+        """Spine defect D1: pool-thread shard builds raced on ``sync()``.
+
+        ``ColumnarView.sync`` is not thread-safe.  The load must append
+        the replayed records to the shared CSR view on the loading
+        thread; the ``workers=4`` builders may then only read it.
+        """
+        with load_sharded(sharded_dir, mode="mmap") as engine:
+            inserted = [
+                engine.insert([f"d1-{i}", f"d1-{i + 1}", "d1-shared"])[0]
+                for i in range(12)
+            ]
+            engine.remove(inserted[3])
+            engine.remove(7)
+        appending_threads = []
+        plain_sync = MappedColumnarView.sync
+
+        def recording_sync(view):
+            if view.dataset is not None and len(view.dataset.records) != view.num_records:
+                appending_threads.append(threading.get_ident())
+            return plain_sync(view)
+
+        monkeypatch.setattr(MappedColumnarView, "sync", recording_sync)
+        query = ["d1-4", "d1-5", "d1-shared"]
+        with load_sharded(sharded_dir, mode="mmap", workers=1) as serial:
+            reference = serial.dataset._columnar
+            expected = serial.knn(query, 6).matches
+            for _ in range(5):
+                appending_threads.clear()
+                with load_sharded(sharded_dir, mode="mmap", workers=4) as loaded:
+                    assert appending_threads == [threading.get_ident()]
+                    view = loaded.dataset._columnar
+                    assert view.nnz == reference.nnz
+                    assert np.array_equal(
+                        view._offsets[: view.num_records + 1],
+                        reference._offsets[: reference.num_records + 1],
+                    )
+                    assert np.array_equal(view.flat_tokens(), reference.flat_tokens())
+                    assert loaded.knn(query, 6).matches == expected
+                    assert inserted[3] not in loaded._shard_of
 
 
 class TestLazyIsReadOnly:
