@@ -117,17 +117,8 @@ async def run_closed_loop(
     }
 
 
-async def check_bit_identity(
-    server: ReproServer, reference, payloads, answers_only: bool = False
-) -> None:
-    """Server answers must equal direct engine calls, payload for payload.
-
-    ``answers_only`` compares the answer fields (``matches``/``count``)
-    but not the cost counters: a process-parallel sharded server runs a
-    different execution plan than the serial reference (independent
-    per-shard answers vs sequential cross-shard heap pruning), so the
-    *work accounting* differs while the answers stay bit-identical.
-    """
+async def check_bit_identity(server: ReproServer, reference, payloads) -> None:
+    """Server answers must equal direct engine calls, payload for payload."""
     for path, payload in payloads[:20]:
         status, body = await request_json(
             server.host, server.port, "POST", path, payload
@@ -140,9 +131,6 @@ async def check_bit_identity(
                 payload["tokens"], threshold=payload["threshold"]
             )
         expected = execute(reference, request).to_payload()
-        if answers_only:
-            body = {key: body[key] for key in ("kind", "count", "matches")}
-            expected = {key: expected[key] for key in ("kind", "count", "matches")}
         assert body == expected, f"server diverged from direct call on {path}"
 
 
@@ -182,23 +170,17 @@ async def bench_server(
 
 async def chaos_suite(
     index_dir: str, payloads, clients: int, per_client: int, reference,
-    scratch: str, window_ms: float, smoke: bool,
+    window_ms: float,
 ) -> dict:
-    """Fault-injection scenarios against a process-parallel sharded server.
+    """Fault injection against a sharded server: one shard is dead.
 
-    * **worker_kill** — a pool worker SIGKILLs itself mid-run (exactly
-      once, via a token file).  The acceptance bar: zero failed
-      strict-mode requests, answers bit-identical after recovery; the
-      run's max latency is the recovery-time proxy (the stalled batch
-      waits out the pool rebuild).
-    * **degraded_partial** — shard 0 fails persistently in the workers
-      *and* in the in-process fallback (truly dead).  Clients asking
-      ``degraded="partial"`` must all still get answers; the p99 ratio
-      against the healthy baseline is the degraded-mode overhead.
+    Shard 0's execution fails persistently.  Clients asking
+    ``degraded="partial"`` must all still get answers; the p99 ratio
+    against the healthy baseline is the degraded-mode overhead.
     """
     from repro.testing.faults import FaultPlan, FaultRule, armed
 
-    options = dict(parallel="process", batch_window_ms=window_ms, max_batch=8)
+    options = dict(batch_window_ms=window_ms, max_batch=8)
 
     async def fresh_server() -> ReproServer:
         server = ReproServer(index_dir, port=0, **options)
@@ -210,7 +192,7 @@ async def chaos_suite(
 
     server = await fresh_server()
     try:
-        await check_bit_identity(server, reference, payloads, answers_only=True)
+        await check_bit_identity(server, reference, payloads)
         baseline = await run_closed_loop(
             server.host, server.port, payloads, clients, per_client
         )
@@ -218,35 +200,7 @@ async def chaos_suite(
         await server.stop()
     results["baseline"] = baseline
 
-    server = await fresh_server()
-    try:
-        token = Path(scratch) / "chaos-kill.tok"
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    "shard.task", action="kill", skip=2 if smoke else 8,
-                    times=-1, token=str(token),
-                )
-            ]
-        )
-        with armed(plan):
-            killed = await run_closed_loop(
-                server.host, server.port, payloads, clients, per_client
-            )
-        killed["kill_fired"] = token.exists()
-        killed["recovery_ms"] = killed["max_ms"]
-        # Post-recovery the rebuilt pool must still answer exactly.
-        await check_bit_identity(server, reference, payloads, answers_only=True)
-    finally:
-        await server.stop()
-    results["worker_kill"] = killed
-
-    dead_shard = FaultPlan(
-        [
-            FaultRule("shard.task", match="shard=0", times=-1),
-            FaultRule("shard.exec", match="shard=0", times=-1),
-        ]
-    )
+    dead_shard = FaultPlan([FaultRule("shard.exec", match="shard=0", times=-1)])
     partial_payloads = [
         (path, dict(payload, degraded="partial")) for path, payload in payloads
     ]
@@ -279,27 +233,19 @@ def run_chaos(args, dataset, payloads, num_templates: int) -> int:
             dataset, num_shards=3, num_groups=max(num_templates // 2, 4)
         )
         save_sharded(sharded, index_dir)
-        sharded.close()
         reference = load(index_dir)
         reference.dataset.columnar()
-        try:
-            chaos = asyncio.run(
-                chaos_suite(
-                    index_dir, payloads, clients, per_client, reference,
-                    scratch, args.batch_window_ms, args.smoke,
-                )
+        chaos = asyncio.run(
+            chaos_suite(
+                index_dir, payloads, clients, per_client, reference,
+                args.batch_window_ms,
             )
-        finally:
-            reference.close()
+        )
 
-    killed, degraded = chaos["worker_kill"], chaos["degraded_partial"]
+    degraded = chaos["degraded_partial"]
     print(
         f"baseline    : {chaos['baseline']['qps']:8.0f} q/s  "
         f"p99 {chaos['baseline']['p99_ms']:7.2f}ms"
-    )
-    print(
-        f"worker kill : {killed['qps']:8.0f} q/s  p99 {killed['p99_ms']:7.2f}ms  "
-        f"recovery {killed['recovery_ms']:7.2f}ms  failures {killed['failures']}"
     )
     print(
         f"dead shard  : {degraded['qps']:8.0f} q/s  p99 {degraded['p99_ms']:7.2f}ms  "
@@ -316,16 +262,6 @@ def run_chaos(args, dataset, payloads, num_templates: int) -> int:
     )
     print(f"# trajectory appended to {args.out}")
 
-    if not killed["kill_fired"]:
-        print("error: the worker-kill fault never fired", file=sys.stderr)
-        return 1
-    if killed["failures"]:
-        print(
-            f"error: {killed['failures']} strict requests failed after a "
-            "worker kill — supervision must make the kill invisible",
-            file=sys.stderr,
-        )
-        return 1
     if degraded["failures"]:
         print(
             f"error: {degraded['failures']} degraded=partial requests failed "
@@ -341,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="tiny sizes (CI rot canary)")
     parser.add_argument(
         "--chaos", action="store_true",
-        help="fault-injection scenarios (worker kill, dead shard) instead of the sweep",
+        help="the fault-injection scenario (a dead shard) instead of the sweep",
     )
     parser.add_argument("--sets", type=int, default=None, help="database size")
     parser.add_argument(

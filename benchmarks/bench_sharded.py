@@ -1,38 +1,34 @@
-"""Sharded scatter-gather: execution modes, shard counts, and the lifecycle.
+"""Sharded scatter-gather: shard counts, load paths, and the lifecycle.
 
 A clustered database (noisy copies of per-cluster templates, each cluster
 owning a contiguous token block) is served by ``ShardedLES3`` at
 S ∈ {1, 4, 8} with locality-preserving (``"range"``) placement, then
-**saved, reloaded, and benchmarked in all three execution modes**
-(``parallel="serial"|"thread"|"process"``):
-
-* the serial numbers isolate the *hierarchical bound* — the shard
-  vocabulary prunes whole shards before their per-group bounds are even
-  computed, so per-query scoring shrinks as shards get finer;
-* the thread/process numbers measure the scatter-gather pool on top of
-  it (process workers are rehydrated from the saved directory, so this
-  also times the real worker path, payload conversion included).
+**saved, reloaded, and benchmarked**.  The query numbers isolate the
+*hierarchical bound* — the shard vocabulary prunes whole shards before
+their per-group bounds are even computed, so per-query scoring shrinks
+as shards get finer.
 
 Each shard count also measures the **out-of-core load paths**: every
 load mode (``"memory"``, ``"mmap"``, ``"lazy"``) runs in a fresh
 subprocess that reports wall-clock load time and the resident-set (RSS)
-delta the load caused, and the mmap-loaded engine's serial query
-throughput is compared against the in-memory one (matches asserted
-bit-identical first).  ``--mode`` picks which load path the execution-mode
-benchmark itself runs on.
+delta the load caused, and the mmap-loaded engine's query throughput is
+compared against the in-memory one (matches asserted bit-identical
+first).  ``--mode`` picks which load path the query benchmark itself
+runs on.
 
-Every combination is asserted bit-identical before any number is
-reported, and the save → load round trip is asserted bit-identical at
-every shard count.  Each run appends one entry to the
-``BENCH_sharded.json`` trajectory (repo root by default).  Run directly::
+The save → load round trip is asserted bit-identical at every shard
+count before any number is reported.  Each run appends one entry to the
+``BENCH_sharded.json`` trajectory (repo root by default; entries before
+PR 13 also carry ``thread``/``process`` columns of the execution modes
+that PR removed — ``serial`` there is ``knn_qps``/``range_qps`` here).
+Run directly::
 
     PYTHONPATH=src python benchmarks/bench_sharded.py          # full size
     PYTHONPATH=src python benchmarks/bench_sharded.py --smoke  # CI-tiny
     PYTHONPATH=src python benchmarks/bench_sharded.py --smoke --mode mmap
 
-The script exits non-zero if any mode or any shard count ever disagrees;
-on full-size runs it additionally enforces (machines with ≥ 4 cores) the
-1.1x process-mode range speedup bar, and — any machine — that the
+The script exits non-zero if any shard count or load mode ever
+disagrees; on full-size runs it additionally enforces that the
 mmap-backed loads (``mmap`` or ``lazy``) beat the in-memory load by ≥ 5x
 on load time or resident memory.
 """
@@ -49,17 +45,17 @@ import tempfile
 import time
 from pathlib import Path
 
+import repro
 from repro.bench import append_trajectory
 from repro.core.dataset import Dataset
 from repro.core.sets import SetRecord
 from repro.core.tokens import TokenUniverse
-from repro.distributed import ShardedLES3, load_sharded, save_sharded
+from repro.distributed import ShardedLES3, save_sharded
 from repro.partitioning import MinTokenPartitioner
 from repro.workloads import sample_queries
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_sharded.json"
 SHARD_COUNTS = (1, 4, 8)
-MODES = ("serial", "thread", "process")
 LOAD_MODES = ("memory", "mmap", "lazy")
 K = 10
 THRESHOLD = 0.6
@@ -81,12 +77,12 @@ def rss_bytes():
     scale = 1024 if sys.platform != 'darwin' else 1
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
 
-from repro.distributed import load_sharded
+import repro
 
 directory, mode = sys.argv[1], sys.argv[2]
 before = rss_bytes()
 start = time.perf_counter()
-engine = load_sharded(directory, mode=mode)
+engine = repro.load(directory, mode=mode)
 cold_seconds = time.perf_counter() - start
 rss_delta = rss_bytes() - before
 # The second load times the load path itself, free of one-shot interpreter
@@ -94,7 +90,7 @@ rss_delta = rss_bytes() - before
 # steady-state numbers stay comparable.
 del engine
 start = time.perf_counter()
-engine = load_sharded(directory, mode=mode)
+engine = repro.load(directory, mode=mode)
 seconds = time.perf_counter() - start
 print(json.dumps({
     'seconds': seconds,
@@ -119,7 +115,7 @@ def measure_load(directory: Path, mode: str) -> dict:
 
 
 def bench_load_paths(index_dir: Path, loaded: ShardedLES3, queries) -> dict:
-    """Per-mode load cost plus mmap-vs-memory serial query throughput.
+    """Per-mode load cost plus mmap-vs-memory query throughput.
 
     ``loaded`` is the already-loaded in-memory reference engine; the
     mmap engine's batch answers are asserted bit-identical to it before
@@ -130,25 +126,25 @@ def bench_load_paths(index_dir: Path, loaded: ShardedLES3, queries) -> dict:
     for mode in ("mmap", "lazy"):
         out[f"{mode}_load_speedup"] = memory["seconds"] / max(out[mode]["seconds"], 1e-9)
         out[f"{mode}_rss_improvement"] = memory["rss_bytes"] / max(out[mode]["rss_bytes"], 1)
-    with load_sharded(index_dir, mode="mmap") as mapped:
-        mapped_queries = sample_queries(mapped.dataset, len(queries), seed=1)
-        # Warm-up pass: fault the touched pages in before timing, so the
-        # number reflects steady-state mmap throughput, not first-touch IO.
-        mapped.batch_knn_record(mapped_queries, K)
-        start = time.perf_counter()
-        knn_results = mapped.batch_knn_record(mapped_queries, K)
-        knn_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        range_results = mapped.batch_range_record(mapped_queries, THRESHOLD)
-        range_seconds = time.perf_counter() - start
-        assert [r.matches for r in knn_results] == [
-            r.matches for r in loaded.batch_knn_record(queries, K)
-        ], "mmap load changed kNN answers"
-        assert [r.matches for r in range_results] == [
-            r.matches for r in loaded.batch_range_record(queries, THRESHOLD)
-        ], "mmap load changed range answers"
-        out["mmap_knn_qps"] = len(queries) / knn_seconds
-        out["mmap_range_qps"] = len(queries) / range_seconds
+    mapped = repro.load(index_dir, mode="mmap")
+    mapped_queries = sample_queries(mapped.dataset, len(queries), seed=1)
+    # Warm-up pass: fault the touched pages in before timing, so the
+    # number reflects steady-state mmap throughput, not first-touch IO.
+    mapped.batch_knn_record(mapped_queries, K)
+    start = time.perf_counter()
+    knn_results = mapped.batch_knn_record(mapped_queries, K)
+    knn_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    range_results = mapped.batch_range_record(mapped_queries, THRESHOLD)
+    range_seconds = time.perf_counter() - start
+    assert [r.matches for r in knn_results] == [
+        r.matches for r in loaded.batch_knn_record(queries, K)
+    ], "mmap load changed kNN answers"
+    assert [r.matches for r in range_results] == [
+        r.matches for r in loaded.batch_range_record(queries, THRESHOLD)
+    ], "mmap load changed range answers"
+    out["mmap_knn_qps"] = len(queries) / knn_seconds
+    out["mmap_range_qps"] = len(queries) / range_seconds
     return out
 
 
@@ -187,40 +183,17 @@ def check_round_trip(engine: ShardedLES3, loaded: ShardedLES3, queries) -> None:
     )
 
 
-def bench_modes(loaded: ShardedLES3, queries, repeats: int) -> dict:
-    """Time every execution mode; assert bit-identical matches throughout."""
-    row: dict = {}
-    reference = None
-    for mode in MODES:
-        if mode == "process":
-            # Warm the pool (fork + first rehydration) outside the timing.
-            loaded.batch_knn_record(queries[:2], K, parallel=mode)
-        knn_best = range_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            knn_results = loaded.batch_knn_record(queries, K, parallel=mode)
-            knn_best = min(knn_best, time.perf_counter() - start)
-            start = time.perf_counter()
-            range_results = loaded.batch_range_record(queries, THRESHOLD, parallel=mode)
-            range_best = min(range_best, time.perf_counter() - start)
-        matches = (
-            [r.matches for r in knn_results],
-            [r.matches for r in range_results],
-        )
-        if reference is None:
-            reference = matches
-        else:
-            assert matches == reference, f"parallel={mode!r} changed the answers"
-        row[mode] = {
-            "knn_qps": len(queries) / knn_best,
-            "range_qps": len(queries) / range_best,
-        }
-    row["process_speedup_knn"] = row["process"]["knn_qps"] / row["serial"]["knn_qps"]
-    row["process_speedup_range"] = (
-        row["process"]["range_qps"] / row["serial"]["range_qps"]
-    )
-    row["thread_speedup_range"] = row["thread"]["range_qps"] / row["serial"]["range_qps"]
-    return row
+def bench_queries(loaded: ShardedLES3, queries, repeats: int) -> dict:
+    """Best-of-``repeats`` batch throughput of the loaded engine."""
+    knn_best = range_best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        loaded.batch_knn_record(queries, K)
+        knn_best = min(knn_best, time.perf_counter() - start)
+        start = time.perf_counter()
+        loaded.batch_range_record(queries, THRESHOLD)
+        range_best = min(range_best, time.perf_counter() - start)
+    return {"knn_qps": len(queries) / knn_best, "range_qps": len(queries) / range_best}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--mode", default="memory", choices=list(LOAD_MODES),
-        help="load path of the engine the execution-mode benchmark runs on "
+        help="load path of the engine the query benchmark runs on "
         "(the load-path comparison itself always measures all three)",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="trajectory JSON path")
@@ -269,14 +242,13 @@ def main(argv: list[str] | None = None) -> int:
             save_sharded(engine, index_dir)
             save_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            loaded = load_sharded(index_dir, mode=args.mode)
+            loaded = repro.load(index_dir, mode=args.mode)
             load_seconds = time.perf_counter() - start
             check_round_trip(engine, loaded, queries)
             local_queries = sample_queries(loaded.dataset, num_queries, seed=1)
             loaded.dataset.columnar()
             row = {"load_paths": bench_load_paths(index_dir, loaded, local_queries)}
-            with loaded:
-                row.update(bench_modes(loaded, local_queries, repeats))
+            row.update(bench_queries(loaded, local_queries, repeats))
             row.update(
                 shards=shards,
                 build_seconds=build_seconds,
@@ -289,13 +261,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"S={shards}: build {build_seconds:.2f}s, save {save_seconds:.2f}s, "
                 f"load[{args.mode}] {load_seconds:.2f}s, round-trip OK; "
-                + ", ".join(
-                    f"{mode} knn {row[mode]['knn_qps']:,.0f} q/s / "
-                    f"range {row[mode]['range_qps']:,.0f} q/s"
-                    for mode in MODES
-                )
-                + f"; process speedup knn {row['process_speedup_knn']:.2f}x, "
-                f"range {row['process_speedup_range']:.2f}x"
+                f"knn {row['knn_qps']:,.0f} q/s / range {row['range_qps']:,.0f} q/s"
             )
             print(
                 f"S={shards} load paths: "
@@ -308,11 +274,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{paths['mmap_rss_improvement']:.1f}x RSS, "
                 f"lazy {paths['lazy_load_speedup']:.1f}x load / "
                 f"{paths['lazy_rss_improvement']:.1f}x RSS; "
-                f"mmap serial knn {paths['mmap_knn_qps']:,.0f} q/s, "
+                f"mmap knn {paths['mmap_knn_qps']:,.0f} q/s, "
                 f"range {paths['mmap_range_qps']:,.0f} q/s"
             )
 
-    best_process_range = max(row["process_speedup_range"] for row in rows)
     best_out_of_core = max(
         row["load_paths"][key]
         for row in rows
@@ -338,14 +303,10 @@ def main(argv: list[str] | None = None) -> int:
                 "cpus": os.cpu_count(),
             },
             "shard_counts": rows,
-            "best_process_range_speedup": best_process_range,
             "best_out_of_core_improvement": best_out_of_core,
         },
     )
     print(f"# appended to {args.out}")
-    if not args.smoke and (os.cpu_count() or 1) >= 4 and best_process_range < 1.1:
-        print("FAIL: process-mode range speedup below the 1.1x acceptance bar")
-        return 1
     if not args.smoke and best_out_of_core < 5.0:
         print(
             "FAIL: mmap-backed loads beat the in-memory load by "

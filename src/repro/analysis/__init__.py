@@ -3,7 +3,7 @@
 An AST-based invariant checker (``repro lint``) purpose-built for this
 codebase: every rule encodes a contract the sharded, persistent,
 fault-tolerant query engine actually depends on — bit-identity across
-execution modes, lock discipline, crash-safe saves, never-retried fatal
+configurations, lock discipline, crash-safe saves, never-retried fatal
 errors, owned file handles, and strict-module annotation coverage.
 
 >>> from repro.analysis import analyze_source

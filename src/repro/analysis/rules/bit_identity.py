@@ -1,8 +1,8 @@
 """Bit-identity rules (RL1xx).
 
-The engine's headline contract is that every execution mode — serial,
-thread, process, mmap, lazy, batched, sharded — returns **bit-identical**
-answers.  That only holds while query-path code never lets an
+The engine's headline contract is that every configuration — single or
+sharded, memory, mmap or lazy, one query or a batch, across processes —
+returns **bit-identical** answers.  That only holds while query-path code never lets an
 implementation-defined order or a narrowed float width leak into a
 result.  These rules encode the three ways PRs 1–7 actually saw that
 contract threatened:
@@ -153,7 +153,7 @@ def _iteration_sites(tree: ast.Module) -> Iterator[tuple[ast.expr, ast.AST]]:
     code="RL101",
     name="unsorted-set-iteration",
     summary="iteration over a set in a query-path module without sorted()",
-    invariant="bit-identical answers across serial/thread/process/mmap/lazy modes",
+    invariant="bit-identical answers across engines, load modes and processes",
     scope=_QUERY_PATH,
 )
 def check_unsorted_set_iteration(context: FileContext) -> Iterator[Finding]:

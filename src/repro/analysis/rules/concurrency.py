@@ -1,15 +1,15 @@
 """Concurrency rules (RL2xx).
 
-The sharded engine and the serving layer own real threads, process
-pools, and shared mutable state.  PRs 4–7 fixed (and re-fixed) the same
-three mistakes; these rules keep them fixed:
+The sharded engine and the serving layer own real threads and shared
+mutable state.  PRs 4–7 fixed (and re-fixed) the same three mistakes;
+these rules keep them fixed:
 
 ``RL201``
-    A ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` created without a
-    guaranteed shutdown: not a ``with`` block, not a ``finally`` that
-    shuts it down, and not handed to an object whose class exposes a
-    shutdown path.  Leaked pools strand worker processes and hang
-    interpreter exit.
+    A ``concurrent.futures`` pool executor (thread or process) created
+    without a guaranteed shutdown: not a ``with`` block, not a
+    ``finally`` that shuts it down, and not handed to an object whose
+    class exposes a shutdown path.  Leaked pools strand workers and
+    hang interpreter exit.
 ``RL202``
     Mutating shared state of a lock-guarded class outside its lock.  A
     class that creates ``self._lock`` has declared its state shared;
@@ -17,9 +17,8 @@ three mistakes; these rules keep them fixed:
 ``RL203``
     Dispatching per-shard work to an executor without a
     :func:`repro.testing.faults.fault_point` in the function.  Every
-    shard fan-out must be chaos-testable, or the supervision machinery
-    (retry, breaker, degraded mode) silently loses coverage as code
-    evolves.
+    shard fan-out must be chaos-testable, or degraded mode silently
+    loses coverage as code evolves.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from repro.analysis.rules.common import (
     location,
 )
 
-_EXECUTOR_SUFFIXES = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+#: Matches both stdlib pools (``Thread…``/``Process…``), bare or dotted.
+_EXECUTOR_SUFFIX = "PoolExecutor"
 
 #: Method names that mutate a container in place.
 _MUTATING_METHODS = frozenset(
@@ -59,7 +59,7 @@ _MUTATING_METHODS = frozenset(
 
 def _is_executor_call(node: ast.Call) -> bool:
     name = dotted_name(node.func)
-    return name.endswith(_EXECUTOR_SUFFIXES) if name else False
+    return name.endswith(_EXECUTOR_SUFFIX) if name else False
 
 
 def _finally_shuts_down(function: ast.AST, target: str) -> bool:

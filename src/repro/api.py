@@ -11,7 +11,7 @@ applications all share:
   auto-detected and the right engine comes back.
 * :class:`QueryRequest` / :class:`QueryResult` — engine-independent
   descriptions of one query and its answer, with one canonical kwargs set
-  (``verify=`` / ``parallel=``) across both engine classes.
+  across both engine classes.
 * :func:`execute` / :func:`execute_batch` — run requests against either
   engine kind; the batch form coalesces compatible requests into the
   batched BLAS kernels (the micro-batching primitive ``repro serve``
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, Sequence, Union
 
-from repro.core.engine import DEGRADED_MODES, LES3, PARALLEL_MODES, as_query_record
+from repro.core.engine import DEGRADED_MODES, LES3, as_query_record
 from repro.core.metrics import QueryStats
 from repro.core.resilience import Deadline
 from repro.distributed.sharded import ShardedLES3
@@ -72,7 +72,6 @@ WRITE_KINDS = ("insert", "remove")
 def load(
     directory: str | Path,
     mode: str = "memory",
-    parallel: str | None = None,
     verify: str | None = None,
     workers: int | None = None,
     max_resident_shards: int | None = None,
@@ -94,10 +93,6 @@ def load(
         Dataset load path: parse ``dataset.txt`` into RAM, map the binary
         ``dataset.bin``, or (sharded saves only) additionally build shard
         indexes on demand.  Results are identical in every mode.
-    parallel : {"serial", "thread", "process"}, optional
-        Default execution mode of the returned engine.  A single-node
-        engine always executes serially; asking it for ``"thread"`` or
-        ``"process"`` raises with guidance (shard the index first).
     verify : {"columnar", "scalar"}, optional
         Override the persisted default verification path.
     workers : int, optional
@@ -139,7 +134,6 @@ def load(
     if is_sharded_index(directory):
         engine: Engine = _load_sharded(
             directory,
-            parallel=parallel,
             workers=workers,
             mode=mode,
             max_resident_shards=max_resident_shards,
@@ -154,17 +148,6 @@ def load(
                 "<out> --shards S`)"
             )
         engine = _load_engine(directory, mode=mode)
-        if parallel not in (None, "serial"):
-            if parallel not in PARALLEL_MODES:
-                raise ValueError(
-                    f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-                )
-            raise ValueError(
-                f"parallel={parallel!r} needs shards to scatter over, and "
-                f"{directory} holds a single-engine save — re-shard it "
-                "(ShardedLES3.from_engine, or `repro save <index> <out> --shards S`) "
-                "and load the sharded directory instead"
-            )
     if verify is not None:
         from repro.core.columnar import VERIFY_MODES
 
@@ -184,8 +167,8 @@ class QueryRequest:
     and :func:`execute`: a kind (``"knn"``, ``"range"``, or ``"join"``),
     the query tokens (except for joins, which run over the indexed data),
     the kind's own parameter (``k`` / ``threshold``), and the uniform
-    execution knobs ``verify`` / ``parallel`` (``None`` = the engine's
-    defaults).  Two robustness knobs ride along: ``timeout_ms`` (a
+    ``verify`` override (``None`` = the engine's default).  Two
+    robustness knobs ride along: ``timeout_ms`` (a
     per-request deadline; the service maps an expired one to HTTP 504)
     and ``degraded`` (``"strict"``, the default, demands bit-identical
     answers or an exception; ``"partial"`` accepts answers from the
@@ -214,7 +197,6 @@ class QueryRequest:
     k: int | None = None
     threshold: float | None = None
     verify: str | None = None
-    parallel: str | None = None
     timeout_ms: int | None = None
     degraded: str | None = None
 
@@ -224,7 +206,6 @@ class QueryRequest:
         tokens: Sequence[Hashable],
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         timeout_ms: int | None = None,
         degraded: str | None = None,
     ) -> "QueryRequest":
@@ -234,7 +215,7 @@ class QueryRequest:
         if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         request = cls(
-            kind="knn", tokens=tuple(tokens), k=k, verify=verify, parallel=parallel,
+            kind="knn", tokens=tuple(tokens), k=k, verify=verify,
             timeout_ms=timeout_ms, degraded=degraded,
         )
         request._check_modes()
@@ -246,7 +227,6 @@ class QueryRequest:
         tokens: Sequence[Hashable],
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         timeout_ms: int | None = None,
         degraded: str | None = None,
     ) -> "QueryRequest":
@@ -256,8 +236,7 @@ class QueryRequest:
         threshold = _checked_threshold(threshold, low=0.0)
         request = cls(
             kind="range", tokens=tuple(tokens), threshold=threshold,
-            verify=verify, parallel=parallel,
-            timeout_ms=timeout_ms, degraded=degraded,
+            verify=verify, timeout_ms=timeout_ms, degraded=degraded,
         )
         request._check_modes()
         return request
@@ -267,14 +246,13 @@ class QueryRequest:
         cls,
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         timeout_ms: int | None = None,
         degraded: str | None = None,
     ) -> "QueryRequest":
         """A similarity self-join of the indexed data (no query tokens)."""
         threshold = _checked_threshold(threshold, low=0.0, low_open=True)
         request = cls(
-            kind="join", threshold=threshold, verify=verify, parallel=parallel,
+            kind="join", threshold=threshold, verify=verify,
             timeout_ms=timeout_ms, degraded=degraded,
         )
         request._check_modes()
@@ -286,10 +264,6 @@ class QueryRequest:
         if self.verify is not None and self.verify not in VERIFY_MODES:
             raise ValueError(
                 f"unknown verify mode {self.verify!r}; expected one of {VERIFY_MODES}"
-            )
-        if self.parallel is not None and self.parallel not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {self.parallel!r}; expected one of {PARALLEL_MODES}"
             )
         if self.degraded is not None and self.degraded not in DEGRADED_MODES:
             raise ValueError(
@@ -310,18 +284,18 @@ class QueryRequest:
         """Build a validated request from a JSON-shaped dict (the HTTP body).
 
         ``payload`` carries ``tokens`` (list of strings), ``k`` or
-        ``threshold``, and optionally ``verify`` / ``parallel``.  Unknown
-        keys are rejected so client typos fail loudly instead of being
-        silently ignored.
+        ``threshold``, and optionally ``verify`` / ``timeout_ms`` /
+        ``degraded``.  Unknown keys are rejected so client typos fail
+        loudly instead of being silently ignored.
         """
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         allowed = {
-            "knn": {"tokens", "k", "verify", "parallel", "timeout_ms", "degraded"},
-            "range": {"tokens", "threshold", "verify", "parallel", "timeout_ms", "degraded"},
-            "join": {"threshold", "verify", "parallel", "timeout_ms", "degraded"},
+            "knn": {"tokens", "k", "verify", "timeout_ms", "degraded"},
+            "range": {"tokens", "threshold", "verify", "timeout_ms", "degraded"},
+            "join": {"threshold", "verify", "timeout_ms", "degraded"},
         }[kind]
         unknown = set(payload) - allowed
         if unknown:
@@ -331,7 +305,6 @@ class QueryRequest:
             )
         modes = {
             "verify": payload.get("verify"),
-            "parallel": payload.get("parallel"),
             "timeout_ms": payload.get("timeout_ms"),
             "degraded": payload.get("degraded"),
         }
@@ -563,7 +536,7 @@ def execute(
     """Run one request against either engine kind.
 
     Thanks to the aligned query signatures this is a straight dispatch;
-    ``verify``/``parallel``/``degraded`` overrides pass through unchanged
+    ``verify``/``degraded`` overrides pass through unchanged
     (``None`` falls back to the engine's defaults).  The request's
     ``timeout_ms`` becomes a :class:`~repro.core.resilience.Deadline`
     starting *now*, unless the caller passes an explicit ``deadline``
@@ -585,21 +558,19 @@ def execute(
     deadline = _request_deadline(request, deadline)
     if request.kind == "knn":
         result = engine.knn(
-            request.tokens, k=request.k,
-            verify=request.verify, parallel=request.parallel,
+            request.tokens, k=request.k, verify=request.verify,
             deadline=deadline, degraded=request.degraded,
         )
         return QueryResult("knn", result.matches, result.stats)
     if request.kind == "range":
         result = engine.range(
-            request.tokens, threshold=request.threshold,
-            verify=request.verify, parallel=request.parallel,
+            request.tokens, threshold=request.threshold, verify=request.verify,
             deadline=deadline, degraded=request.degraded,
         )
         return QueryResult("range", result.matches, result.stats)
     if request.kind == "join":
         joined = engine.join(
-            request.threshold, verify=request.verify, parallel=request.parallel,
+            request.threshold, verify=request.verify,
             deadline=deadline, degraded=request.degraded,
         )
         return QueryResult("join", joined.pairs, joined.stats)
@@ -609,13 +580,10 @@ def execute(
 def _coalesce_key(request: QueryRequest) -> tuple[object, ...]:
     """Requests sharing this key can ride one batched kernel call."""
     if request.kind == "knn":
-        return (
-            "knn", request.k, request.verify, request.parallel,
-            request.timeout_ms, request.degraded,
-        )
+        return ("knn", request.k, request.verify, request.timeout_ms, request.degraded)
     if request.kind == "range":
         return (
-            "range", request.threshold, request.verify, request.parallel,
+            "range", request.threshold, request.verify,
             request.timeout_ms, request.degraded,
         )
     return None  # joins are whole-database operations; never coalesced
@@ -628,7 +596,7 @@ def execute_batch(
 ) -> list[QueryResult | WriteResult]:
     """Run many requests, coalescing compatible ones into the batch kernels.
 
-    kNN requests sharing ``(k, verify, parallel, timeout_ms, degraded)``
+    kNN requests sharing ``(k, verify, timeout_ms, degraded)``
     and range requests sharing the analogous key are interned together
     and answered by one ``batch_knn_record`` / ``batch_range_record``
     call — group scoring becomes one BLAS product for the whole
@@ -666,17 +634,16 @@ def execute_batch(
             as_query_record(engine.dataset, requests[position].tokens)
             for position in positions
         ]
-        verify, parallel = key[2], key[3]
+        verify, degraded = key[2], key[4]
         batch_deadline = _request_deadline(requests[positions[0]], deadline)
-        degraded = key[5]
         if kind == "knn":
             answers = engine.batch_knn_record(
-                records, key[1], verify=verify, parallel=parallel,
+                records, key[1], verify=verify,
                 deadline=batch_deadline, degraded=degraded,
             )
         else:
             answers = engine.batch_range_record(
-                records, key[1], verify=verify, parallel=parallel,
+                records, key[1], verify=verify,
                 deadline=batch_deadline, degraded=degraded,
             )
         for position, answer in zip(positions, answers):

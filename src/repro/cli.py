@@ -6,11 +6,11 @@ Usage::
     repro save index sharded-index --shards 4
     repro load sharded-index --mode lazy
     repro knn index --query "a b c" -k 10 --shards 4
-    repro knn sharded-index --query "a b c" -k 10 --parallel process
+    repro knn sharded-index --query "a b c" -k 10
     repro range index --query "a b c" --threshold 0.7 --mode mmap
-    repro join sharded-index --threshold 0.8 --verify both --parallel thread
+    repro join sharded-index --threshold 0.8 --verify both
     repro bench sharded-index --queries 200 -k 10 --verify both --mode mmap
-    repro serve sharded-index --mode lazy --parallel process
+    repro serve sharded-index --mode lazy
     repro stats data.txt
     repro validate sharded-index
 
@@ -20,12 +20,9 @@ routes through the unified :func:`repro.load` entry point, which
 auto-detects whether its index directory holds a single-engine save
 (``repro build``) or a sharded save (``repro save``); results are
 identical either way.  ``--shards S`` re-shards a loaded *single-engine*
-index in memory; ``--parallel serial|thread|process`` picks the sharded
-execution mode (``process`` needs a sharded index directory — its
-workers rehydrate from disk).  ``--verify`` picks the
-candidate-verification path (``columnar`` kernel by default, ``scalar``
-as the escape hatch; ``join``/``bench`` accept ``both`` to time each and
-report the speedup).  ``--mode memory|mmap|lazy`` picks the dataset load
+index in memory.  ``--verify`` picks the candidate-verification path
+(``columnar`` kernel by default, ``scalar`` as the escape hatch;
+``join``/``bench`` accept ``both`` to time each and report the speedup).  ``--mode memory|mmap|lazy`` picks the dataset load
 path (parse ``dataset.txt``, map the binary ``dataset.bin``, or
 additionally build shard indexes on demand).  Results are identical in
 every combination.  ``repro serve`` turns a saved index into a long-lived
@@ -55,13 +52,6 @@ _LOAD_ERRORS = (PersistenceError, FileNotFoundError)
 
 class _CliError(Exception):
     """A user-facing CLI argument/usage error (printed, exit code 1)."""
-
-
-def _add_parallel_flag(command) -> None:
-    command.add_argument(
-        "--parallel", default="serial", choices=["serial", "thread", "process"],
-        help="sharded execution mode (process needs a sharded index directory)",
-    )
 
 
 def _add_robustness_flags(command) -> None:
@@ -124,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path (results are identical)",
     )
     _add_mode_flag(knn)
-    _add_parallel_flag(knn)
     _add_robustness_flags(knn)
 
     range_cmd = commands.add_parser("range", help="all sets within a similarity threshold")
@@ -137,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path (results are identical)",
     )
     _add_mode_flag(range_cmd)
-    _add_parallel_flag(range_cmd)
     _add_robustness_flags(range_cmd)
 
     join = commands.add_parser("join", help="exact similarity self-join of the indexed data")
@@ -150,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path; 'both' times each and reports the speedup",
     )
     _add_mode_flag(join)
-    _add_parallel_flag(join)
     _add_robustness_flags(join)
 
     bench = commands.add_parser("bench", help="batch-query throughput of a built index")
@@ -166,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path; 'both' times each and reports the speedup",
     )
     _add_mode_flag(bench)
-    _add_parallel_flag(bench)
 
     serve_cmd = commands.add_parser(
         "serve", help="serve an index over HTTP with micro-batched queries"
@@ -181,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the persisted verification path (results are identical)",
     )
     _add_mode_flag(serve_cmd)
-    serve_cmd.add_argument(
-        "--parallel", default=None, choices=["serial", "thread", "process"],
-        help="sharded execution mode (process needs a sharded index directory)",
-    )
     serve_cmd.add_argument(
         "--batch-window-ms", type=float, default=2.0,
         help="how long the first request of a batch waits for company",
@@ -202,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batches allowed in flight on the executor simultaneously",
     )
     serve_cmd.add_argument(
-        "--shard-workers", type=int, default=None,
-        help="per-shard fan-out cap for the engine's thread/process pools",
-    )
-    serve_cmd.add_argument(
         "--default-timeout-ms", type=int, default=None,
         help="deadline for requests without their own timeout_ms (504 on expiry)",
     )
@@ -217,18 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-seconds", type=float, default=5.0,
         help="graceful-shutdown budget: SIGTERM stops accepting and finishes "
         "in-flight requests within this many seconds",
-    )
-    serve_cmd.add_argument(
-        "--retry-attempts", type=int, default=None,
-        help="bounded retries per process-mode shard task (default 3)",
-    )
-    serve_cmd.add_argument(
-        "--breaker-threshold", type=int, default=None,
-        help="consecutive shard failures that open its circuit breaker (default 5)",
-    )
-    serve_cmd.add_argument(
-        "--breaker-reset-seconds", type=float, default=None,
-        help="seconds an open breaker waits before its half-open probe (default 30)",
     )
 
     compact = commands.add_parser(
@@ -331,12 +297,6 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _close_engine(engine) -> None:
-    """Shut down a sharded engine's worker pools (no-op for a single LES3)."""
-    if isinstance(engine, ShardedLES3):
-        engine.close()
-
-
 def _print_matches(engine, matches) -> None:
     for record_index, similarity in matches:
         tokens = " ".join(str(t) for t in engine.tokens_of(record_index))
@@ -355,19 +315,16 @@ def _print_degraded(result) -> None:
 
 
 def _load_query_engine(args):
-    """Load either index kind, honouring ``--shards``/``--parallel``/``--mode``.
+    """Load either index kind, honouring ``--shards``/``--mode``.
 
     One :func:`repro.load` call auto-detects the directory kind (the
     per-command sniffing this file used to repeat lives there now).
     Single-engine directories are optionally re-sharded in memory
     (``--shards S``); sharded directories load as-is (they already fix
-    their shard count).  ``--parallel process`` requires a sharded
-    directory: its workers rehydrate shards from the save.  ``--mode
-    mmap`` maps the binary ``dataset.bin`` instead of parsing
-    ``dataset.txt``; ``--mode lazy`` additionally builds shard indexes on
-    first visit (sharded directories only).
+    their shard count).  ``--mode mmap`` maps the binary ``dataset.bin``
+    instead of parsing ``dataset.txt``; ``--mode lazy`` additionally
+    builds shard indexes on first visit (sharded directories only).
     """
-    parallel = getattr(args, "parallel", "serial")
     shards = getattr(args, "shards", 1)
     mode = getattr(args, "mode", "memory")
     engine = load(args.index, mode=mode)
@@ -377,20 +334,8 @@ def _load_query_engine(args):
                 "--shards re-shards single-engine indexes; this index is already "
                 "sharded (its shard count is fixed by the save)"
             )
-        engine.parallel = parallel
-    elif shards != 1 or parallel != "serial":
-        if parallel == "process":
-            raise _CliError(
-                "--parallel process rehydrates shard workers from a sharded "
-                "save; create one with `repro save <index> <out> --shards S` "
-                "and query that directory instead"
-            )
-        if shards == 1:
-            raise _CliError(
-                f"--parallel {parallel} needs shards to scatter over; "
-                "add --shards S or query a sharded index directory"
-            )
-        engine = ShardedLES3.from_engine(engine, shards, parallel=parallel)
+    elif shards != 1:
+        engine = ShardedLES3.from_engine(engine, shards)
     # Subcommands without a --verify flag (e.g. `load`) must not override
     # the verify mode the manifest restored; 'both' is a bench/join-local
     # notion resolved by the command itself.
@@ -481,8 +426,6 @@ def _cmd_knn(args) -> int:
     except DeadlineExceeded as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    finally:
-        _close_engine(engine)
 
 
 def _cmd_range(args) -> int:
@@ -515,8 +458,6 @@ def _cmd_range(args) -> int:
     except DeadlineExceeded as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    finally:
-        _close_engine(engine)
 
 
 def _cmd_join(args) -> int:
@@ -579,8 +520,6 @@ def _cmd_join(args) -> int:
     except DeadlineExceeded as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    finally:
-        _close_engine(query_engine)
 
 
 def _load_bench_engine(args) -> ShardedLES3:
@@ -589,7 +528,7 @@ def _load_bench_engine(args) -> ShardedLES3:
     Unlike the query commands, ``repro bench`` times the batch kernels
     through the sharded scatter-gather path even for single-engine saves
     (a 1-shard in-memory wrap), so its report always carries a shard
-    count and any ``--parallel`` mode short of ``process`` applies.
+    count.
     """
     engine = load(args.index, mode=args.mode)
     if isinstance(engine, ShardedLES3):
@@ -598,15 +537,8 @@ def _load_bench_engine(args) -> ShardedLES3:
                 "--shards re-shards single-engine indexes; this index is already "
                 "sharded (its shard count is fixed by the save)"
             )
-        engine.parallel = args.parallel
         return engine
-    if args.parallel == "process":
-        raise _CliError(
-            "--parallel process rehydrates shard workers from a sharded "
-            "save; create one with `repro save <index> <out> --shards S` "
-            "and bench that directory instead"
-        )
-    return ShardedLES3.from_engine(engine, args.shards, parallel=args.parallel)
+    return ShardedLES3.from_engine(engine, args.shards)
 
 
 def _cmd_bench(args) -> int:
@@ -629,58 +561,54 @@ def _cmd_bench(args) -> int:
     except (_CliError, *_LOAD_ERRORS) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    try:
-        queries = sample_queries(sharded.dataset, args.queries, seed=args.seed)
-        print(
-            f"# {len(sharded.dataset)} sets, {sharded.num_groups} groups, "
-            f"{sharded.num_shards} shard(s), {len(queries)} queries, "
-            f"parallel={args.parallel}"
+    queries = sample_queries(sharded.dataset, args.queries, seed=args.seed)
+    print(
+        f"# {len(sharded.dataset)} sets, {sharded.num_groups} groups, "
+        f"{sharded.num_shards} shard(s), {len(queries)} queries"
+    )
+    modes = ["columnar", "scalar"] if args.verify == "both" else [args.verify]
+    if "columnar" in modes:
+        # Build the CSR view outside the timed region: it is a one-time,
+        # whole-database cost, not a per-batch one.
+        sharded.dataset.columnar()
+    passes = []
+    if args.k > 0:
+        passes.append(
+            ("knn", lambda mode: sharded.batch_knn_record(queries, args.k, verify=mode))
         )
-        modes = ["columnar", "scalar"] if args.verify == "both" else [args.verify]
-        if "columnar" in modes:
-            # Build the CSR view outside the timed region: it is a one-time,
-            # whole-database cost, not a per-batch one.
-            sharded.dataset.columnar()
-        passes = []
-        if args.k > 0:
-            passes.append(
-                ("knn", lambda mode: sharded.batch_knn_record(queries, args.k, verify=mode))
+    if args.threshold >= 0:
+        passes.append(
+            (
+                "range",
+                lambda mode: sharded.batch_range_record(
+                    queries, args.threshold, verify=mode
+                ),
             )
-        if args.threshold >= 0:
-            passes.append(
-                (
-                    "range",
-                    lambda mode: sharded.batch_range_record(
-                        queries, args.threshold, verify=mode
-                    ),
-                )
+        )
+    for name, run in passes:
+        seconds = {}
+        reference = None
+        for mode in modes:
+            best = float("inf")
+            for _ in range(args.repeat):
+                start = time.perf_counter()
+                results = run(mode)
+                best = min(best, time.perf_counter() - start)
+            seconds[mode] = best
+            matches = sum(len(result) for result in results)
+            if reference is None:
+                reference = [result.matches for result in results]
+            elif reference != [result.matches for result in results]:
+                print(f"error: {name} results differ between verify modes", file=sys.stderr)
+                return 2
+            label = f"{name}[{mode}]" if len(modes) > 1 else name
+            print(
+                f"{label}: {len(queries) / best:,.0f} queries/s "
+                f"({best * 1000:.1f} ms/batch, {matches} matches)"
             )
-        for name, run in passes:
-            seconds = {}
-            reference = None
-            for mode in modes:
-                best = float("inf")
-                for _ in range(args.repeat):
-                    start = time.perf_counter()
-                    results = run(mode)
-                    best = min(best, time.perf_counter() - start)
-                seconds[mode] = best
-                matches = sum(len(result) for result in results)
-                if reference is None:
-                    reference = [result.matches for result in results]
-                elif reference != [result.matches for result in results]:
-                    print(f"error: {name} results differ between verify modes", file=sys.stderr)
-                    return 2
-                label = f"{name}[{mode}]" if len(modes) > 1 else name
-                print(
-                    f"{label}: {len(queries) / best:,.0f} queries/s "
-                    f"({best * 1000:.1f} ms/batch, {matches} matches)"
-                )
-            if len(modes) > 1:
-                print(f"{name}: columnar speedup {seconds['scalar'] / seconds['columnar']:.2f}x")
-        return 0
-    finally:
-        _close_engine(sharded)
+        if len(modes) > 1:
+            print(f"{name}: columnar speedup {seconds['scalar'] / seconds['columnar']:.2f}x")
+    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -814,9 +742,6 @@ def _cmd_serve(args) -> int:
     for flag, value in (
         ("--default-timeout-ms", args.default_timeout_ms),
         ("--max-timeout-ms", args.max_timeout_ms),
-        ("--retry-attempts", args.retry_attempts),
-        ("--breaker-threshold", args.breaker_threshold),
-        ("--breaker-reset-seconds", args.breaker_reset_seconds),
     ):
         if value is not None and value <= 0:
             print(f"error: {flag} must be positive", file=sys.stderr)
@@ -830,19 +755,14 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             mode=args.mode,
-            parallel=args.parallel,
             verify=args.verify,
             batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             concurrency=args.concurrency,
-            shard_workers=args.shard_workers,
             default_timeout_ms=args.default_timeout_ms,
             max_timeout_ms=args.max_timeout_ms,
             drain_seconds=args.drain_seconds,
-            retry_attempts=args.retry_attempts,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset_seconds=args.breaker_reset_seconds,
         )
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)

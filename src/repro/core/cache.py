@@ -1,14 +1,12 @@
 """A tiny thread-safe LRU used by every lazy/out-of-core cache.
 
-Three places keep "build on first use, keep the last N resident" state:
-lazily built shard TGMs (:class:`repro.distributed.sharded.LazyShardTGMs`),
-lazily materialized records of a mapped dataset
-(:class:`repro.storage.columnar_file.LazyRecords`), and the process-pool
-workers' per-process shard caches
-(:mod:`repro.distributed.persistence`).  They share this one
-implementation so the locking discipline lives in a single place — the
-thread-pool execution mode hands the same engine (and therefore the same
-caches) to concurrent tasks.
+Two places keep "build on first use, keep the last N resident" state:
+lazily built shard TGMs (:class:`repro.distributed.sharded.LazyShardTGMs`)
+and lazily materialized records of a mapped dataset
+(:class:`repro.storage.columnar_file.LazyRecords`).  They share this one
+implementation so the locking discipline lives in a single place — a
+query service with ``concurrency > 1`` hands the same engine (and
+therefore the same caches) to concurrent batches.
 
 Values must be safe to build redundantly: a build runs *outside* the
 lock (it may take seconds for a big shard), so two threads racing on the
@@ -69,9 +67,3 @@ class LRUCache:
         """The currently resident values, least recently used first."""
         with self._lock:
             return list(self._data.values())
-
-    def drop_matching(self, predicate: Callable[[Hashable], bool]) -> None:
-        """Remove every entry whose key satisfies ``predicate``."""
-        with self._lock:
-            for key in [k for k in self._data if predicate(k)]:
-                del self._data[key]

@@ -33,6 +33,7 @@ escape hatch and as the test oracle.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -72,6 +73,28 @@ def _grow(array: np.ndarray, used: int, extra: int) -> np.ndarray:
     return grown
 
 
+def _flatten_records(
+    records: Sequence["SetRecord"],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """CSR rows of ``records``: flat tokens, flat counts, row lengths, set sizes."""
+    flat_tokens: list[int] = []
+    flat_counts: list[int] = []
+    lengths: list[int] = []
+    sizes: list[int] = []
+    for record in records:
+        if record.is_multiset:
+            items = sorted(record.counts().items())
+            flat_tokens.extend(token for token, _ in items)
+            flat_counts.extend(count for _, count in items)
+            lengths.append(len(items))
+        else:
+            flat_tokens.extend(record.tokens)
+            flat_counts.extend([1] * len(record.tokens))
+            lengths.append(len(record.tokens))
+        sizes.append(len(record))
+    return flat_tokens, flat_counts, lengths, sizes
+
+
 class ColumnarView:
     """CSR layout of a dataset: flat tokens + multiplicities + offsets + sizes.
 
@@ -82,15 +105,22 @@ class ColumnarView:
     the last call; it never rewrites existing rows (records are immutable
     and deletes are logical), so a view stays valid across updates.
 
-    Not thread-safe during :meth:`sync`; query paths call it once per
-    query before any verification, which is safe under the repo's
-    single-threaded query execution.
+    :meth:`sync` is safe under concurrent *readers* of one dataset
+    (several query batches of a service, pool-thread shard builds):
+    appends are serialized by a lock and ``_num_records`` is published
+    last, so a reader that sees the view caught up sees complete arrays.
+    Readers racing a *writer* of the dataset are the caller's to exclude
+    (the query service's engine gate does).
     """
 
-    __slots__ = ("dataset", "_tokens", "_counts", "_offsets", "_sizes", "_num_records", "_nnz")
+    __slots__ = (
+        "dataset", "_tokens", "_counts", "_offsets", "_sizes", "_num_records", "_nnz",
+        "_sync_lock",
+    )
 
     def __init__(self, dataset: "Dataset") -> None:
         self.dataset = dataset
+        self._sync_lock = threading.Lock()
         self._tokens = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
         self._offsets = np.zeros(1, dtype=np.int64)
@@ -103,37 +133,28 @@ class ColumnarView:
 
     def sync(self) -> "ColumnarView":
         """Append any records added to the dataset since the last sync."""
-        records = self.dataset.records
-        if len(records) == self._num_records:
-            return self
-        flat_tokens: list[int] = []
-        flat_counts: list[int] = []
-        lengths: list[int] = []
-        sizes: list[int] = []
-        for record in records[self._num_records:]:
-            if record.is_multiset:
-                items = sorted(record.counts().items())
-                flat_tokens.extend(token for token, _ in items)
-                flat_counts.extend(count for _, count in items)
-                lengths.append(len(items))
-            else:
-                flat_tokens.extend(record.tokens)
-                flat_counts.extend([1] * len(record.tokens))
-                lengths.append(len(record.tokens))
-            sizes.append(len(record))
-        extra_nnz = len(flat_tokens)
-        extra_rows = len(lengths)
-        self._tokens = _grow(self._tokens, self._nnz, extra_nnz)
-        self._counts = _grow(self._counts, self._nnz, extra_nnz)
-        self._tokens[self._nnz:self._nnz + extra_nnz] = flat_tokens
-        self._counts[self._nnz:self._nnz + extra_nnz] = flat_counts
-        self._offsets = _grow(self._offsets, self._num_records + 1, extra_rows)
-        tail = self._offsets[self._num_records] + np.cumsum(lengths, dtype=np.int64)
-        self._offsets[self._num_records + 1:self._num_records + 1 + extra_rows] = tail
-        self._sizes = _grow(self._sizes, self._num_records, extra_rows)
-        self._sizes[self._num_records:self._num_records + extra_rows] = sizes
-        self._num_records = len(records)
-        self._nnz += extra_nnz
+        if len(self.dataset.records) == self._num_records:
+            return self  # once per query: stays lock-free
+        with self._sync_lock:
+            records = self.dataset.records
+            if len(records) == self._num_records:
+                return self  # another reader appended them meanwhile
+            flat_tokens, flat_counts, lengths, sizes = _flatten_records(
+                records[self._num_records:]
+            )
+            extra_nnz = len(flat_tokens)
+            extra_rows = len(lengths)
+            self._tokens = _grow(self._tokens, self._nnz, extra_nnz)
+            self._counts = _grow(self._counts, self._nnz, extra_nnz)
+            self._tokens[self._nnz:self._nnz + extra_nnz] = flat_tokens
+            self._counts[self._nnz:self._nnz + extra_nnz] = flat_counts
+            self._offsets = _grow(self._offsets, self._num_records + 1, extra_rows)
+            tail = self._offsets[self._num_records] + np.cumsum(lengths, dtype=np.int64)
+            self._offsets[self._num_records + 1:self._num_records + 1 + extra_rows] = tail
+            self._sizes = _grow(self._sizes, self._num_records, extra_rows)
+            self._sizes[self._num_records:self._num_records + extra_rows] = sizes
+            self._nnz += extra_nnz
+            self._num_records += extra_rows  # last: publishes the rows to lock-free readers
         return self
 
     # -- introspection -----------------------------------------------------

@@ -152,33 +152,18 @@ class DeltaSegment:
     build); the engine calls :meth:`log_insert` / :meth:`log_remove`
     *after* applying the mutation in memory, so the log records routing
     outcomes.  ``num_ops`` counts the ops currently committed to the log
-    (replayed ops included), which is what epoch suffixes advertise to
-    process-pool workers.
+    (replayed ops included), which is what a compaction reports folding.
     """
 
-    __slots__ = ("directory", "base_epoch", "num_ops")
+    __slots__ = ("directory", "num_ops")
 
-    def __init__(
-        self, directory: str | Path, base_epoch: str = "", num_ops: int = 0
-    ) -> None:
+    def __init__(self, directory: str | Path, num_ops: int = 0) -> None:
         self.directory = Path(directory)
-        self.base_epoch = base_epoch
         self.num_ops = num_ops
 
     @property
     def path(self) -> Path:
         return self.directory / DELTA_LOG
-
-    def epoch(self) -> str:
-        """The generation epoch as seen by process workers.
-
-        The base manifest epoch while the log is empty; suffixed with
-        ``+<num_ops>`` once mutations landed, so workers replay exactly
-        the ops the parent has committed and stale caches are evicted.
-        """
-        if self.num_ops == 0:
-            return self.base_epoch
-        return f"{self.base_epoch}+{self.num_ops}"
 
     def _append(self, body: dict) -> None:
         line = json.dumps(

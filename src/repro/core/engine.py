@@ -34,17 +34,8 @@ __all__ = [
     "LES3",
     "suggest_num_groups",
     "as_query_record",
-    "PARALLEL_MODES",
     "DEGRADED_MODES",
 ]
-
-#: Execution modes of the query methods — one canonical tuple shared by
-#: both engine classes so their signatures validate identically.  A
-#: single-node :class:`LES3` always executes serially; it still accepts
-#: (and validates) the keyword so callers can treat the engines
-#: interchangeably.  :class:`repro.distributed.ShardedLES3` actually
-#: dispatches to thread/process pools.
-PARALLEL_MODES = ("serial", "thread", "process")
 
 #: Failure-handling modes of the query methods.  ``"strict"`` (the
 #: default) returns bit-identical answers or raises; ``"partial"`` lets a
@@ -195,20 +186,6 @@ class LES3:
     def _verify_mode(self, verify: str | None) -> str:
         return self.verify if verify is None else verify
 
-    def _resolve_parallel(self, parallel: str | None) -> str:
-        """Validate ``parallel`` for signature parity with ShardedLES3.
-
-        A single-node engine has no shards to scatter over, so every
-        valid mode executes the same serial plan; an *unknown* mode is
-        still rejected, exactly like the sharded engine rejects it.
-        """
-        mode = "serial" if parallel is None else parallel
-        if mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {mode!r}; expected one of {PARALLEL_MODES}"
-            )
-        return mode
-
     def _resolve_degraded(self, degraded: str | None) -> str:
         """Validate ``degraded`` for signature parity with ShardedLES3.
 
@@ -234,12 +211,10 @@ class LES3:
         query_tokens: Sequence[Hashable],
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """kNN search over external tokens."""
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return knn_search(
@@ -252,12 +227,10 @@ class LES3:
         query_tokens: Sequence[Hashable],
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """Range search over external tokens."""
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return range_search(
@@ -270,14 +243,12 @@ class LES3:
         query: SetRecord,
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """kNN search with a pre-interned query record."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return knn_search(
@@ -289,14 +260,12 @@ class LES3:
         query: SetRecord,
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """Range search with a pre-interned query record."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return range_search(
@@ -308,14 +277,12 @@ class LES3:
         queries: Sequence[SetRecord],
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> list[SearchResult]:
         """kNN for every query (see :func:`repro.core.batch.batch_knn_search`)."""
         from repro.core.batch import batch_knn_search
 
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return batch_knn_search(
@@ -327,14 +294,12 @@ class LES3:
         queries: Sequence[SetRecord],
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> list[SearchResult]:
         """Range search for every query; one TGM scan for the whole batch."""
         from repro.core.batch import batch_range_search
 
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return batch_range_search(
@@ -346,12 +311,10 @@ class LES3:
         self,
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> JoinResult:
         """Exact similarity self-join: all pairs with ``Sim >= threshold``."""
-        self._resolve_parallel(parallel)
         self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return similarity_self_join(

@@ -257,12 +257,9 @@ def manifest_epoch(manifest: dict) -> str:
 
     A ``sha256:`` digest over the manifest's canonical JSON (the
     ``epoch`` field itself excluded, so the value is well defined).  The
-    epoch names a *generation*: process-pool workers and mmap readers
-    key their caches on it, so a compaction — which produces a new
-    manifest and therefore a new epoch — evicts every stale rehydration.
-    Mutations logged to the delta segment extend the epoch with a
-    ``+<ops>`` suffix instead of changing it (see
-    :class:`repro.core.delta.DeltaSegment`).
+    epoch names a *generation*: a compaction produces a new manifest and
+    therefore a new epoch, while mutations logged to the delta segment
+    leave it unchanged.
     """
     body = {key: value for key, value in manifest.items() if key != "epoch"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
@@ -514,7 +511,7 @@ def save_engine(engine: LES3, directory: str | Path) -> None:
         # The staged generation carries no delta.log: a save folds every
         # pending delta op into the new base, which is what compaction is.
         write_index_files(staging, engine.tgm.group_members, manifest)
-    engine._delta = DeltaSegment(directory, base_epoch=manifest["epoch"])
+    engine._delta = DeltaSegment(directory)
 
 
 def load_engine(directory: str | Path, mode: str = "memory") -> LES3:
@@ -617,7 +614,5 @@ def _load_engine(directory: str | Path, mode: str = "memory") -> LES3:
     )
     engine = LES3(dataset, tgm, verify=verify)
     engine.removed = removed
-    engine._delta = DeltaSegment(
-        directory, base_epoch=manifest.get("epoch", ""), num_ops=len(ops)
-    )
+    engine._delta = DeltaSegment(directory, num_ops=len(ops))
     return engine

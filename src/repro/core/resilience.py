@@ -1,33 +1,14 @@
-"""Resilience primitives: deadlines, retry policy, circuit breaker.
+"""Resilience primitives: per-query deadlines.
 
 This module is dependency-free and import-cycle-neutral: it is used by
 the engines (:mod:`repro.core.engine`, :mod:`repro.distributed.sharded`),
 the public API (:mod:`repro.api`) and the serving layer
 (:mod:`repro.serve`), none of which it imports back.
-
->>> from repro.core.resilience import CircuitBreaker
->>> clock = iter([0.0, 1.0, 2.0, 40.0, 41.0]).__next__
->>> breaker = CircuitBreaker(failure_threshold=2, reset_seconds=30.0, clock=clock)
->>> breaker.record_failure(); breaker.record_failure(); breaker.state
-'open'
->>> breaker.allow()   # at t=1.0: still cooling down
-False
->>> breaker.allow()   # t=2.0: still open
-False
->>> breaker.allow()   # t=40.0: cooldown elapsed, half-open probe allowed
-True
->>> breaker.state
-'half_open'
->>> breaker.record_success(); breaker.state
-'closed'
 """
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass
-from threading import Lock
 from typing import Callable
 
 
@@ -69,104 +50,3 @@ class Deadline:
         if self.expired():
             suffix = f" ({context})" if context else ""
             raise DeadlineExceeded(f"deadline exceeded{suffix}")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and jitter.
-
-    ``attempts`` is the *total* number of tries (1 = no retry).  The
-    delay before retry ``n`` (1-based) is ``base_delay * multiplier**(n-1)``
-    capped at ``max_delay``, with a uniform jitter of up to ``jitter``
-    of itself subtracted so herds of retries decorrelate.
-
-    >>> policy = RetryPolicy(attempts=3, base_delay=0.1, multiplier=2.0, jitter=0.0)
-    >>> [round(policy.delay(n), 3) for n in range(1, 3)]
-    [0.1, 0.2]
-    """
-
-    attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay(self, attempt: int, rng: random.Random | None = None) -> float:
-        """Backoff before the retry following failed try ``attempt`` (1-based)."""
-        raw = min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-        if self.jitter and raw:
-            raw -= (rng or random).uniform(0.0, self.jitter * raw)
-        return raw
-
-
-class CircuitBreaker:
-    """Per-resource breaker: closed → open after N consecutive failures,
-    then a timed half-open probe decides whether to re-close.
-
-    All transitions happen inside :meth:`allow` / :meth:`record_success` /
-    :meth:`record_failure`; nothing blocks, so callers can hold their own
-    locks around it.  ``clock`` is injectable for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_seconds: float = 30.0,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_seconds < 0:
-            raise ValueError("reset_seconds must be >= 0")
-        self.failure_threshold = failure_threshold
-        self.reset_seconds = reset_seconds
-        self._clock = clock
-        self._lock = Lock()
-        self._state = "closed"
-        self._failures = 0
-        self._opened_at = 0.0
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def allow(self) -> bool:
-        """May the protected call be attempted right now?
-
-        While open, returns ``False`` until ``reset_seconds`` elapse,
-        then admits exactly one half-open probe at a time.
-        """
-        with self._lock:
-            if self._state == "closed":
-                return True
-            if self._state == "open":
-                if self._clock() - self._opened_at >= self.reset_seconds:
-                    self._state = "half_open"
-                    return True
-                return False
-            return False  # half_open: a probe is already in flight
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._state = "closed"
-            self._failures = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            if self._state == "half_open":
-                self._state = "open"
-                self._opened_at = self._clock()
-                return
-            self._failures += 1
-            if self._failures >= self.failure_threshold:
-                self._state = "open"
-                self._opened_at = self._clock()

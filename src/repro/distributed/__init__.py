@@ -1,17 +1,16 @@
-"""Sharded, parallel query layer: scale-out beyond one monolithic engine.
+"""Sharded query layer: scale-out beyond one monolithic engine.
 
-Section 7.2 of the paper leaves parallel/distributed deployment as future
-work; this package supplies the scatter-gather layer: deterministic shard
+Section 7.2 of the paper leaves distributed deployment as future work;
+this package supplies the scatter-gather layer: deterministic shard
 placement (:mod:`repro.distributed.sharding`), the exact sharded engine
-(:class:`ShardedLES3`) with hierarchical shard → group → record bounds
-and three execution modes (``parallel="serial"|"thread"|"process"``),
+(:class:`ShardedLES3`) with hierarchical shard → group → record bounds,
 and the sharded persistence lifecycle
 (:mod:`repro.distributed.persistence`: :func:`save_sharded` /
-:func:`load_sharded`, which also arm the process-pool workers).
+:func:`load_sharded`).
 """
 
 from repro.distributed.persistence import SHARDED_LOAD_MODES, load_sharded, save_sharded
-from repro.distributed.sharded import PARALLEL_MODES, LazyShardTGMs, ShardedLES3
+from repro.distributed.sharded import LazyShardTGMs, ShardedLES3
 from repro.distributed.sharding import SHARD_STRATEGIES, assign_shards, record_shard_hash
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "assign_shards",
     "record_shard_hash",
     "SHARD_STRATEGIES",
-    "PARALLEL_MODES",
     "SHARDED_LOAD_MODES",
 ]

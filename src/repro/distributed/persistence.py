@@ -1,4 +1,4 @@
-"""Sharded engine lifecycle: durable saves, parallel loads, process workers.
+"""Sharded engine lifecycle: durable saves and concurrent-build loads.
 
 A :class:`~repro.distributed.sharded.ShardedLES3` persists as one
 directory holding the dataset *once* plus one subdirectory per shard:
@@ -25,15 +25,6 @@ so a truncated or tampered shard fails loudly instead of loading a
 wrong-answer engine.  All integrity failures raise
 :class:`~repro.core.persistence.PersistenceError`.
 
-This module also hosts the **process-mode worker**: the ``"process"``
-execution mode of :class:`~repro.distributed.sharded.ShardedLES3` ships
-picklable task descriptors (not closures) to a ``ProcessPoolExecutor``
-whose workers call :func:`run_shard_task` — rehydrating their shard from
-the saved directory on first use and caching it for the rest of the
-pool's life.  Queries travel as external-token payloads
-(:func:`query_payload`) so a worker's independently re-interned token
-universe answers bit-identically to the parent's.
-
 See ``docs/persistence.md`` for the full on-disk format reference.
 """
 
@@ -45,7 +36,6 @@ import warnings
 from pathlib import Path
 from typing import Callable
 
-from repro.core.cache import LRUCache
 from repro.core.columnar import VERIFY_MODES
 from repro.core.dataset import Dataset
 from repro.core.delta import (
@@ -55,7 +45,6 @@ from repro.core.delta import (
     read_delta_ops,
 )
 from repro.core.persistence import (
-    DATASET_BIN,
     SHARDED_MANIFEST_KEY,
     PersistenceError,
     atomic_directory,
@@ -71,24 +60,14 @@ from repro.core.persistence import (
     write_dataset_files,
     write_index_files,
 )
-from repro.core.sets import SetRecord
 from repro.core.similarity import get_measure
 from repro.core.tgm import TokenGroupMatrix
-from repro.testing.faults import fault_point
-from repro.distributed.sharded import (
-    LazyShardTGMs,
-    ShardedLES3,
-    _build_concurrently,
-    _shard_knn_batch,
-    _shard_range_batch,
-)
+from repro.distributed.sharded import LazyShardTGMs, ShardedLES3, _build_concurrently
 
 __all__ = [
     "save_sharded",
     "load_sharded",
     "is_sharded_index",
-    "query_payload",
-    "run_shard_task",
     "SHARDED_FORMAT_VERSION",
     "SHARDED_LOAD_MODES",
 ]
@@ -102,11 +81,6 @@ SHARDED_LOAD_MODES = ("memory", "mmap", "lazy")
 #: LRU capacity for lazily built shard TGMs (``mode="lazy"``) when the
 #: caller doesn't pick one.
 DEFAULT_RESIDENT_SHARDS = 4
-
-#: Per-worker LRU capacities for the process-pool caches: rehydrated
-#: shard TGMs and join profiles are bounded per worker instead of
-#: accumulating one entry per shard ever touched.
-_WORKER_CACHE_CAPACITY = 8
 
 _SHARD_FILES = ("manifest.json", "groups.json")
 
@@ -169,9 +143,8 @@ def save_sharded(engine: ShardedLES3, directory: str | Path) -> None:
     staged directory, stale ``shard-NNNN`` subdirectories from a
     previous save with more shards can never survive a re-save.
 
-    On success the engine's :attr:`~repro.distributed.sharded.ShardedLES3.source_dir`
-    is set to ``directory``, which is what arms the ``"process"``
-    execution mode (workers rehydrate from there).
+    On success the engine is attached to ``directory``'s write-ahead
+    ``delta.log``: later inserts/removes are durable there.
 
     Parameters
     ----------
@@ -225,9 +198,7 @@ def save_sharded(engine: ShardedLES3, directory: str | Path) -> None:
         # The staged generation carries no delta.log: saving folds every
         # pending delta op into the new base (this is what `repro
         # compact` relies on).
-    engine._source_dir = str(directory)
-    engine._source_epoch = top["epoch"]
-    engine._delta = DeltaSegment(directory, base_epoch=top["epoch"])
+    engine._delta = DeltaSegment(directory)
 
 
 # -- load ------------------------------------------------------------------
@@ -316,7 +287,6 @@ def _read_shard(
 
 def load_sharded(
     directory: str | Path,
-    parallel: str | None = None,
     workers: int | None = None,
     mode: str = "memory",
     max_resident_shards: int | None = None,
@@ -335,12 +305,11 @@ def load_sharded(
         DeprecationWarning,
         stacklevel=2,
     )
-    return _load_sharded(directory, parallel, workers, mode, max_resident_shards)
+    return _load_sharded(directory, workers, mode, max_resident_shards)
 
 
 def _load_sharded(
     directory: str | Path,
-    parallel: str | None = None,
     workers: int | None = None,
     mode: str = "memory",
     max_resident_shards: int | None = None,
@@ -350,19 +319,12 @@ def _load_sharded(
     Every shard's digest is verified and the shard groups plus
     tombstones must cover the dataset exactly once *globally*.  The
     loaded engine answers knn/range/join queries bit-identically to the
-    engine that was saved — deletes included, in every ``mode`` and
-    every ``parallel`` execution mode — and is immediately eligible for
-    ``parallel="process"`` execution (its
-    :attr:`~repro.distributed.sharded.ShardedLES3.source_dir` points at
-    ``directory``).
+    engine that was saved — deletes included, in every ``mode``.
 
     Parameters
     ----------
     directory : str or Path
         A directory written by :func:`save_sharded`.
-    parallel : {"serial", "thread", "process"}, optional
-        Default execution mode of the returned engine (``"serial"`` when
-        omitted).
     workers : int, optional
         Threads for the concurrent TGM rebuilds (eager modes only).
     mode : {"memory", "mmap", "lazy"}, default ``"memory"``
@@ -479,13 +441,6 @@ def _load_sharded(
             removed[op["index"]] = shard_id
     for shard_id, groups in enumerate(all_groups):
         apply_group_ops(groups, ops, shard=shard_id)
-    # Every shard build reads the dataset's (mapped) CSR view and starts by
-    # syncing it; ColumnarView.sync is not thread-safe, so the replayed
-    # tail is synced here, once, before builds can run on pool threads
-    # (eagerly below, or lazily inside parallel="thread" queries).
-    if dataset._columnar is not None:
-        dataset._columnar.sync()
-
     def shard_builder(
         groups: list[list[int]], backend: str
     ) -> Callable[[], TokenGroupMatrix]:
@@ -512,216 +467,9 @@ def _load_sharded(
         tgms,
         measure,
         verify=verify,
-        parallel=parallel if parallel is not None else "serial",
         shard_groups=shard_groups,
     )
     engine.removed = removed
     engine.placement = top.get("placement", "custom")
-    engine._source_dir = str(directory)
-    base_epoch = top.get("epoch") or (
-        "sha256:"
-        + hashlib.sha256((directory / "manifest.json").read_bytes()).hexdigest()
-    )
-    engine._delta = DeltaSegment(directory, base_epoch=base_epoch, num_ops=len(ops))
-    engine._source_epoch = engine._delta.epoch()
+    engine._delta = DeltaSegment(directory, num_ops=len(ops))
     return engine
-
-
-# -- query payloads (parent process -> worker process) ---------------------
-
-
-def query_payload(dataset: Dataset, query: SetRecord) -> tuple:
-    """Encode a query record as a picklable, universe-independent payload.
-
-    A worker process re-interns the saved ``dataset.txt``, so its token
-    *ids* need not match the parent's — but the saved file stores
-    ``str(token)`` forms, which is exactly the normal form this payload
-    uses.  Known tokens travel as ``(str_form, multiplicity)`` pairs;
-    tokens outside the parent's universe (phantoms — they count towards
-    ``|Q|`` but match nothing) travel as bare multiplicities.  Overlaps,
-    sizes, and therefore similarities are integer/float64-identical on
-    both sides.
-    """
-    universe = dataset.universe
-    universe_size = len(universe)
-    known: list[tuple[str, int]] = []
-    phantom: list[int] = []
-    for token_id, count in sorted(query.counts().items()):
-        if token_id < universe_size:
-            known.append((str(universe.token_of(token_id)), count))
-        else:
-            phantom.append(count)
-    return (known, phantom)
-
-
-def payload_record(dataset: Dataset, payload: tuple) -> SetRecord:
-    """Decode :func:`query_payload` against this process's universe."""
-    known, phantom = payload
-    universe = dataset.universe
-    next_phantom = len(universe)
-    token_ids: list[int] = []
-    for token, count in known:
-        token_id = universe.get_id(token)
-        if token_id is None:
-            token_id = next_phantom
-            next_phantom += 1
-        token_ids.extend([token_id] * count)
-    for count in phantom:
-        token_ids.extend([next_phantom] * count)
-        next_phantom += 1
-    return SetRecord(token_ids)
-
-
-# -- the process-pool worker ----------------------------------------------
-#
-# One cache per worker process, keyed by (directory, epoch): the first
-# task against a saved index opens the dataset (once per directory) and
-# the touched shards; every later task reuses them.  A re-save bumps the
-# epoch (the digest of the top-level manifest), which drops the stale
-# entries.  Workers rehydrate *lazily* and stay bounded: the dataset is
-# the mmap-backed binary columnar file when the save carries one (a v3
-# save always does) — no per-record Python objects, pages faulted in on
-# demand — and the shard TGM / join-profile caches are small LRUs
-# (``_WORKER_CACHE_CAPACITY``) instead of one entry per shard ever
-# touched, so a worker serving many shards of a large index holds a few
-# resident indexes, not all of them.
-
-_worker_datasets: dict[tuple[str, str], Dataset] = {}
-_worker_delta_ops: dict[tuple[str, str], list[dict]] = {}
-_worker_tgms = LRUCache(_WORKER_CACHE_CAPACITY)
-_worker_profiles = LRUCache(_WORKER_CACHE_CAPACITY)
-
-
-def _epoch_delta_count(epoch: str) -> int:
-    """How many delta ops an epoch string advertises (its ``+N`` suffix)."""
-    _base, sep, suffix = epoch.rpartition("+")
-    if sep and suffix.isdigit():
-        return int(suffix)
-    return 0
-
-
-def _evict_stale(directory: str, epoch: str) -> None:
-    for table in (_worker_datasets, _worker_delta_ops):
-        for key in [k for k in table if k[0] == directory and k[1] != epoch]:
-            del table[key]
-    for cache in (_worker_tgms, _worker_profiles):
-        cache.drop_matching(lambda k: k[0] == directory and k[1] != epoch)
-
-
-def _worker_dataset(directory: str, epoch: str) -> Dataset:
-    key = (directory, epoch)
-    if key not in _worker_datasets:
-        _evict_stale(directory, epoch)
-        path = Path(directory)
-        if (path / DATASET_BIN).is_file():
-            # Same entry point as the parent's mmap load, so the binary
-            # header is cross-checked against the manifest — a stale or
-            # mixed-save dataset.bin fails here too instead of letting a
-            # worker answer from different records than the parent.
-            manifest = read_index_json(path / "manifest.json", "index manifest")
-            dataset = open_mapped_dataset(
-                path, manifest if isinstance(manifest, dict) else {}
-            )
-        else:
-            # Pre-v3 save: fall back to the full text rehydration.
-            dataset = Dataset.load(path / "dataset.txt")
-        # An epoch with a ``+N`` suffix means the parent committed N delta
-        # ops on top of this generation: replay exactly those, in order,
-        # so the worker answers from the same records as the parent.
-        count = _epoch_delta_count(epoch)
-        ops: list[dict] = []
-        if count:
-            ops = read_delta_ops(path)
-            if len(ops) < count:
-                raise PersistenceError(
-                    f"epoch {epoch!r} advertises {count} delta op(s) but "
-                    f"{path} holds {len(ops)} — delta log out of sync"
-                )
-            ops = ops[:count]
-            for op in ops:
-                if op["op"] == "insert":
-                    apply_insert_op(dataset, op)
-        _worker_delta_ops[key] = ops
-        _worker_datasets[key] = dataset
-    return _worker_datasets[key]
-
-
-def _worker_tgm(directory: str, epoch: str, shard_id: int) -> TokenGroupMatrix:
-    def build() -> TokenGroupMatrix:
-        dataset = _worker_dataset(directory, epoch)
-        shard_dir = Path(directory) / shard_dir_name(shard_id)
-        manifest = read_index_json(shard_dir / "manifest.json", "shard manifest")
-        groups = read_groups(shard_dir)
-        apply_group_ops(groups, _worker_delta_ops[(directory, epoch)], shard=shard_id)
-        return TokenGroupMatrix(
-            dataset, groups, get_measure(manifest["measure"]), manifest["backend"]
-        )
-
-    return _worker_tgms.get_or_build((directory, epoch, shard_id), build)
-
-
-def _worker_profile(directory: str, epoch: str, shard_id: int) -> tuple:
-    def build() -> tuple:
-        from repro.core.join import group_join_profiles
-
-        dataset = _worker_dataset(directory, epoch)
-        tgm = _worker_tgm(directory, epoch, shard_id)
-        return group_join_profiles(dataset, tgm.group_members)
-
-    return _worker_profiles.get_or_build((directory, epoch, shard_id), build)
-
-
-def run_shard_task(directory: str, task: tuple, epoch: str = "") -> object:
-    """Execute one picklable shard task inside a worker process.
-
-    Task descriptors (dispatched by the ``"process"`` execution mode of
-    :class:`~repro.distributed.sharded.ShardedLES3`):
-
-    * ``("knn", shard_id, [(query_id, payload), ...], k, verify)``
-    * ``("range", shard_id, [(query_id, payload), ...], threshold, verify)``
-    * ``("join_self", shard_id, threshold, verify)``
-    * ``("join_between", shard_a, shard_b, threshold, verify)``
-
-    The query kinds return ``[(query_id, matches, stats), ...]``; the
-    join kinds return ``(pairs, stats)``.  All record indices are global
-    (shard groups are stored with global indices), so partials merge
-    without translation.
-    """
-    kind = task[0]
-    fault_point("shard.task", f"{kind}:shard={task[1]}")
-    dataset = _worker_dataset(directory, epoch)
-    if kind == "knn":
-        _, shard_id, items, k, verify = task
-        tgm = _worker_tgm(directory, epoch, shard_id)
-        batch = [(qid, payload_record(dataset, payload)) for qid, payload in items]
-        return _shard_knn_batch(dataset, tgm, batch, k, tgm.measure, verify)
-    if kind == "range":
-        _, shard_id, items, threshold, verify = task
-        tgm = _worker_tgm(directory, epoch, shard_id)
-        batch = [(qid, payload_record(dataset, payload)) for qid, payload in items]
-        return _shard_range_batch(dataset, tgm, batch, threshold, tgm.measure, verify)
-    if kind == "join_self":
-        from repro.core.join import similarity_self_join
-
-        _, shard_id, threshold, verify = task
-        tgm = _worker_tgm(directory, epoch, shard_id)
-        result = similarity_self_join(
-            dataset, tgm, threshold, verify=verify,
-            profiles=_worker_profile(directory, epoch, shard_id),
-        )
-        return (result.pairs, result.stats)
-    if kind == "join_between":
-        from repro.core.join import similarity_join_between
-
-        _, shard_a, shard_b, threshold, verify = task
-        result = similarity_join_between(
-            dataset,
-            _worker_tgm(directory, epoch, shard_a),
-            _worker_tgm(directory, epoch, shard_b),
-            threshold,
-            verify=verify,
-            profiles_a=_worker_profile(directory, epoch, shard_a),
-            profiles_b=_worker_profile(directory, epoch, shard_b),
-        )
-        return (result.pairs, result.stats)
-    raise ValueError(f"unknown shard task kind {kind!r}")

@@ -24,38 +24,18 @@ over the same data — same records, same similarities, same order — for
 any shard count, any placement strategy, and any per-shard partitioner.
 Sharding is purely a throughput/scale knob, never a correctness one.
 
-**Execution modes.**  Shard work can run three ways (``parallel=``):
-
-* ``"serial"`` — one thread, shards visited in descending bound order
-  into a shared top-k heap with cross-shard early termination; the
-  lowest-latency mode on one core.
-* ``"thread"`` — surviving shards are searched concurrently in a thread
-  pool over the in-memory TGMs.  Helps when verification is
-  numpy-heavy (the kernel releases the GIL inside BLAS/ufuncs).
-* ``"process"`` — surviving shards are dispatched to a
-  ``ProcessPoolExecutor`` as *picklable task descriptors*; each worker
-  process rehydrates its shard from the engine's saved directory
-  (:func:`repro.distributed.persistence.load_sharded` /
-  :func:`~repro.distributed.persistence.save_sharded`) and caches it
-  across tasks, sidestepping the GIL entirely.
-
-All three modes return bit-identical matches; only the cost counters
-differ (the parallel modes cannot early-terminate across shards, so they
-may verify more candidates than ``"serial"``).  See
-``docs/architecture.md`` for the data-flow picture.
+**Execution.**  There is one execution path: the calling thread visits
+shards in descending bound order into a shared top-k heap, with
+cross-shard early termination — the paper's sequential best-first walk
+lifted one level.  ``docs/architecture.md`` has the data-flow picture
+and the measurements behind having no pool inside the engine.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import random
-import time
 from collections.abc import Sequence as SequenceABC
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from types import TracebackType
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
@@ -67,7 +47,6 @@ from repro.core.dataset import Dataset
 from repro.core.engine import (
     DEGRADED_MODES,
     LES3,
-    PARALLEL_MODES,
     as_query_record,
     suggest_num_groups,
 )
@@ -80,18 +59,12 @@ from repro.core.join import (
 )
 from repro.core.metrics import QueryStats
 from repro.core.persistence import PersistenceError
-from repro.core.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-)
+from repro.core.resilience import Deadline, DeadlineExceeded
 from repro.core.search import (
     SearchResult,
     finalize_result,
     knn_heap_matches,
     knn_visit_groups,
-    match_sort_key,
     pad_zero_matches,
     prepare_query,
     query_group_bounds,
@@ -107,12 +80,10 @@ from repro.testing.faults import fault_point
 if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
 
-# PARALLEL_MODES is re-exported here (its canonical home is
-# repro.core.engine, shared by both engine classes) for back-compat.
-__all__ = ["ShardedLES3", "LazyShardTGMs", "PARALLEL_MODES"]
+__all__ = ["ShardedLES3", "LazyShardTGMs"]
 
-# Errors shard supervision must never retry, fall back on, or degrade:
-# an integrity refusal or an expired deadline is not a shard fault.
+# Errors ``degraded="partial"`` must never swallow: an integrity refusal
+# or an expired deadline is not a shard fault.
 _FATAL_ERRORS = (PersistenceError, DeadlineExceeded)
 
 
@@ -139,9 +110,10 @@ class LazyShardTGMs(SequenceABC):
     build, and resident index memory is bounded by the capacity rather
     than the shard count — which is what ``load_sharded(..., mode="lazy")``
     hands to :class:`ShardedLES3`.  The cache is a thread-safe
-    :class:`~repro.core.cache.LRUCache` because ``parallel="thread"``
-    hands the same sequence to concurrent pool tasks (two tasks racing on
-    one shard may both build it; the first publish wins — TGM builds are
+    :class:`~repro.core.cache.LRUCache` because a
+    :class:`~repro.serve.service.QueryService` with ``concurrency > 1``
+    reads one engine from several threads (two batches racing on one
+    shard may both build it; the first publish wins — TGM builds are
     deterministic and immutable afterwards, so that is only spent time).
 
     Iterating the sequence builds every shard (it is how ``repro
@@ -174,71 +146,6 @@ class LazyShardTGMs(SequenceABC):
         return self._cache.resident()
 
 
-# -- per-shard partial searches -------------------------------------------
-#
-# Module-level (hence picklable) building blocks of the parallel execution
-# modes: each computes one shard's *complete local answer* for a batch of
-# queries, so partials from different shards can be merged with the
-# canonical (-similarity, index) tie-break without any shared state.  The
-# thread mode calls them directly over the in-memory TGMs; the process
-# mode calls them inside workers that rehydrated the shard from disk
-# (:func:`repro.distributed.persistence.run_shard_task`).
-
-
-def _shard_knn_batch(
-    dataset: Dataset,
-    tgm: TokenGroupMatrix,
-    items: list[tuple[int, SetRecord]],
-    k: int,
-    measure: Similarity,
-    verify: str,
-) -> list[tuple[int, list[tuple[int, float]], QueryStats]]:
-    """Shard-local exact top-k (zero-padded) for ``(query_id, query)`` items.
-
-    Every global top-k answer is inside its own shard's local top-k, and
-    the local zero padding keeps the shard's smallest-index zero-similarity
-    members available, so merging the per-shard partials and keeping the
-    global k best under the canonical order reproduces the single-engine
-    answer exactly.
-    """
-    results = []
-    for query_id, query in items:
-        stats = QueryStats()
-        bounds = query_group_bounds(tgm, query, stats)
-        heap: list[tuple[float, int]] = []
-        zero_candidates: list[list[int]] = []
-        verifier = make_verifier(dataset, query, measure, verify)
-        knn_visit_groups(
-            dataset, tgm, query, k, bounds, heap, stats,
-            measure, zero_candidates, verifier,
-        )
-        pad_zero_matches(heap, k, zero_candidates)
-        results.append((query_id, knn_heap_matches(heap), stats))
-    return results
-
-
-def _shard_range_batch(
-    dataset: Dataset,
-    tgm: TokenGroupMatrix,
-    items: list[tuple[int, SetRecord]],
-    threshold: float,
-    measure: Similarity,
-    verify: str,
-) -> list[tuple[int, list[tuple[int, float]], QueryStats]]:
-    """Shard-local range matches for ``(query_id, query)`` items."""
-    results = []
-    for query_id, query in items:
-        stats = QueryStats()
-        bounds = query_group_bounds(tgm, query, stats)
-        matches: list[tuple[int, float]] = []
-        verifier = make_verifier(dataset, query, measure, verify)
-        range_collect_groups(
-            dataset, tgm, query, threshold, bounds, matches, stats, measure, verifier
-        )
-        results.append((query_id, matches, stats))
-    return results
-
-
 class ShardedLES3:
     """Sharded, exact set similarity search over one logical dataset.
 
@@ -266,9 +173,6 @@ class ShardedLES3:
     verify : {"columnar", "scalar"}, default ``"columnar"``
         Default candidate-verification path (per-query override on every
         query method); results are bit-identical either way.
-    parallel : {"serial", "thread", "process"}, default ``"serial"``
-        Default execution mode for shard work (per-query override on
-        every query method); results are bit-identical in every mode.
 
     Attributes
     ----------
@@ -280,18 +184,6 @@ class ShardedLES3:
     removed : dict[int, int]
         Logically deleted record index → the shard it was removed from
         (the persistence tombstone log).
-    query_workers : int or None
-        Pool size for the thread/process execution modes; defaults to
-        ``min(num_shards, cpu_count)``.
-    retry_policy : repro.core.resilience.RetryPolicy
-        Supervision of ``"process"``-mode shard tasks: each task gets
-        ``retry_policy.attempts`` tries with exponential backoff +
-        jitter before the engine falls back to in-process execution.
-    breaker_threshold, breaker_reset_seconds : int, float
-        Per-shard circuit breaker knobs: after ``breaker_threshold``
-        consecutive process-task failures a shard's breaker opens and
-        its work runs in-process until a half-open probe (after
-        ``breaker_reset_seconds``) succeeds.  See ``docs/operations.md``.
 
     Examples
     --------
@@ -310,16 +202,11 @@ class ShardedLES3:
         tgms: Sequence[TokenGroupMatrix],
         measure: str | Similarity = "jaccard",
         verify: str = "columnar",
-        parallel: str = "serial",
         *,
         shard_groups: list[list[list[int]]] | None = None,
     ) -> None:
         if not len(tgms):
             raise ValueError("a sharded engine needs at least one shard")
-        if parallel not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-            )
         self.dataset = dataset
         # ``tgms`` may be a LazyShardTGMs (mode="lazy" loads): indexing it
         # builds the shard on demand, so the constructor must not iterate
@@ -328,26 +215,14 @@ class ShardedLES3:
         self.tgms: Sequence[TokenGroupMatrix] = tgms if lazy else list(tgms)
         self.measure = get_measure(measure)
         self.verify = verify
-        self.parallel = parallel
         self.placement = "custom"
         # Logically deleted record index -> shard it was removed from.
         # Queries never consult this (liveness is group membership); it is
         # the tombstone log the sharded manifests persist.
         self.removed: dict[int, int] = {}
-        self.query_workers: int | None = None
-        # Process-mode supervision knobs (see docs/operations.md).
-        self.retry_policy = RetryPolicy()
-        self.breaker_threshold = 5
-        self.breaker_reset_seconds = 30.0
-        self._breaker_clock = time.monotonic  # injectable for tests
-        self._breakers: dict[int, CircuitBreaker] = {}
-        self._source_dir: str | None = None
-        self._source_epoch: str | None = None
         # Write-ahead delta segment of the saved generation (attached by
         # save_sharded/load_sharded); None for in-memory builds.
         self._delta = None
-        self._thread_executor: ThreadPoolExecutor | None = None
-        self._process_executor: ProcessPoolExecutor | None = None
         self._shard_of: dict[int, int] = {}
         self._shard_loads: list[int] = [0] * len(self.tgms)
         if shard_groups is None:
@@ -405,7 +280,6 @@ class ShardedLES3:
         seed: int = 0,
         workers: int | None = None,
         verify: str = "columnar",
-        parallel: str = "serial",
     ) -> "ShardedLES3":
         """Shard the dataset and build one TGM per shard, concurrently.
 
@@ -430,8 +304,8 @@ class ShardedLES3:
         workers : int, optional
             Threads for the concurrent shard builds; defaults to
             ``min(num_shards, cpu_count)``.
-        verify, parallel :
-            Default verification path and execution mode of the engine.
+        verify :
+            Default verification path of the engine.
 
         Returns
         -------
@@ -444,7 +318,7 @@ class ShardedLES3:
         if not assignments:
             engine = cls(
                 dataset, [TokenGroupMatrix(dataset, [], measure, backend)],
-                measure, verify, parallel,
+                measure, verify,
             )
             engine.placement = strategy
             return engine
@@ -476,9 +350,7 @@ class ShardedLES3:
             shard_builder(shard_id, indices)
             for shard_id, indices in enumerate(assignments)
         ]
-        engine = cls(
-            dataset, _build_concurrently(builders, workers), measure, verify, parallel
-        )
+        engine = cls(dataset, _build_concurrently(builders, workers), measure, verify)
         engine.placement = strategy
         return engine
 
@@ -488,7 +360,6 @@ class ShardedLES3:
         engine: LES3,
         num_shards: int,
         workers: int | None = None,
-        parallel: str = "serial",
     ) -> "ShardedLES3":
         """Re-shard a built single-node engine without re-partitioning.
 
@@ -517,28 +388,13 @@ class ShardedLES3:
         builders = [shard_builder(assigned) for assigned in shard_groups]
         sharded = cls(
             engine.dataset, _build_concurrently(builders, workers), engine.measure,
-            verify=engine.verify, parallel=parallel,
+            verify=engine.verify,
         )
         sharded.placement = "lpt"
         sharded.removed = {record_index: 0 for record_index in engine.removed}
         return sharded
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def source_dir(self) -> str | None:
-        """Directory this engine is persisted in and in sync with, if any.
-
-        Set by :func:`~repro.distributed.persistence.save_sharded` and
-        :func:`~repro.distributed.persistence.load_sharded`.  Mutations
-        of a saved/loaded engine are appended to the generation's
-        write-ahead ``delta.log``, so the directory *stays* in sync (the
-        epoch gains a ``+<ops>`` suffix that tells process workers how
-        many delta ops to replay).  Only mutating an engine that was
-        never saved — no delta log to append to — clears this.  The
-        ``"process"`` execution mode rehydrates its workers from here.
-        """
-        return self._source_dir
 
     def _require_mutable(self, operation: str) -> None:
         """Lazily loaded engines are read-only.
@@ -557,48 +413,6 @@ class ShardedLES3:
                 "mutations would be lost on eviction — reload with "
                 "mode='mmap' or mode='memory' to mutate"
             )
-
-    def _require_source_dir(self) -> str:
-        if self._source_dir is None:
-            raise ValueError(
-                'parallel="process" rehydrates shard workers from disk, but this '
-                "engine has no saved directory in sync with its state — persist it "
-                "with save_sharded(engine, directory) or load it with "
-                "load_sharded(directory) first (inserts/removes invalidate the save)"
-            )
-        return self._source_dir
-
-    def _threads(self) -> ThreadPoolExecutor:
-        if self._thread_executor is None:
-            workers = self.query_workers or min(self.num_shards, os.cpu_count() or 1)
-            self._thread_executor = ThreadPoolExecutor(max_workers=max(workers, 1))
-        return self._thread_executor
-
-    def _processes(self) -> ProcessPoolExecutor:
-        if self._process_executor is None:
-            workers = self.query_workers or min(self.num_shards, os.cpu_count() or 1)
-            self._process_executor = ProcessPoolExecutor(max_workers=max(workers, 1))
-        return self._process_executor
-
-    def close(self) -> None:
-        """Shut down the lazily created thread/process pools (idempotent)."""
-        for attribute in ("_thread_executor", "_process_executor"):
-            pool = getattr(self, attribute)
-            if pool is not None:
-                pool.shutdown(wait=True)
-                setattr(self, attribute, None)
-
-    def __enter__(self) -> "ShardedLES3":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        self.close()
-        return False
 
     # -- introspection -----------------------------------------------------
 
@@ -695,14 +509,6 @@ class ShardedLES3:
     def _verify_mode(self, verify: str | None) -> str:
         return self.verify if verify is None else verify
 
-    def _resolve_parallel(self, parallel: str | None) -> str:
-        mode = self.parallel if parallel is None else parallel
-        if mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel mode {mode!r}; expected one of {PARALLEL_MODES}"
-            )
-        return mode
-
     def _resolve_degraded(self, degraded: str | None) -> str:
         mode = "strict" if degraded is None else degraded
         if mode not in DEGRADED_MODES:
@@ -710,365 +516,6 @@ class ShardedLES3:
                 f"unknown degraded mode {mode!r}; expected one of {DEGRADED_MODES}"
             )
         return mode
-
-    # -- shard execution supervision ---------------------------------------
-
-    def _breaker(self, shard_id: int) -> CircuitBreaker:
-        breaker = self._breakers.get(shard_id)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self.breaker_threshold,
-                self.breaker_reset_seconds,
-                clock=self._breaker_clock,
-            )
-            self._breakers[shard_id] = breaker
-        return breaker
-
-    def _discard_broken_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Retire a poisoned process pool so the next submit gets a fresh one."""
-        if self._process_executor is pool:
-            self._process_executor = None
-        pool.shutdown(wait=False)
-
-    @staticmethod
-    def _remaining(deadline: Deadline | None) -> float | None:
-        if deadline is None:
-            return None
-        return max(deadline.remaining(), 0.0)
-
-    def _run_supervised(
-        self,
-        entries: list[tuple[int, tuple, object]],
-        deadline: Deadline | None,
-        degraded: str,
-    ) -> tuple[dict[int, object], list[int]]:
-        """Run process-mode shard tasks under full supervision.
-
-        ``entries`` is a list of ``(shard_id, descriptor, local_thunk)``.
-        Each descriptor is dispatched to the process pool with:
-
-        * bounded retry (``retry_policy``: exponential backoff + jitter);
-        * pool resurrection — on :class:`BrokenProcessPool` (a worker
-          died) the pool is rebuilt **once per call** and only the tasks
-          that actually failed are replayed; completed results are kept;
-        * a per-shard :class:`~repro.core.resilience.CircuitBreaker` —
-          after ``breaker_threshold`` consecutive failures the shard's
-          work runs via ``local_thunk`` (in-process serial execution)
-          until a timed half-open probe closes the breaker again;
-        * deadline-bounded waits — :class:`DeadlineExceeded` is raised as
-          soon as the deadline passes while results are outstanding.
-
-        Returns ``(results keyed by entry index, failed shard ids)``.
-        In ``"strict"`` mode a shard that fails even its in-process
-        fallback re-raises; in ``"partial"`` mode it is recorded in the
-        failed list and the caller answers from the healthy shards.
-        """
-        from repro.distributed.persistence import run_shard_task
-
-        directory = self._require_source_dir()
-        epoch = self._source_epoch or ""
-        policy = self.retry_policy
-        rng = random.Random()
-        results: dict[int, object] = {}
-        failed: list[int] = []
-        rebuilt = False
-
-        def submit(descriptor: tuple) -> tuple[Future, ProcessPoolExecutor]:
-            fault_point("shard.submit", f"{descriptor[0]}:shard={descriptor[1]}")
-            pool = self._processes()
-            return pool.submit(run_shard_task, directory, descriptor, epoch), pool
-
-        def run_local(index: int) -> bool:
-            """In-process fallback; False means the shard failed for good."""
-            shard_id, _descriptor, local_thunk = entries[index]
-            if deadline is not None:
-                deadline.check("shard fallback")
-            try:
-                results[index] = local_thunk()
-                return True
-            except _FATAL_ERRORS:
-                raise
-            except Exception:
-                if degraded == "partial":
-                    failed.append(shard_id)
-                    return False
-                raise
-
-        inflight: list[tuple[int, object, object]] = []
-        for index, (shard_id, descriptor, _local) in enumerate(entries):
-            if self._breaker(shard_id).allow():
-                future, pool = submit(descriptor)
-                inflight.append((index, future, pool))
-            else:
-                # Breaker open: don't even touch the pool for this shard.
-                run_local(index)
-
-        for index, future, pool in inflight:
-            shard_id, descriptor, _local = entries[index]
-            breaker = self._breaker(shard_id)
-            attempt = 1
-            while True:
-                try:
-                    results[index] = future.result(timeout=self._remaining(deadline))
-                    breaker.record_success()
-                    break
-                except FuturesTimeoutError:
-                    raise DeadlineExceeded(
-                        f"deadline exceeded awaiting shard {shard_id}"
-                    ) from None
-                except BrokenProcessPool:
-                    # A worker died and poisoned the whole pool.  Rebuild
-                    # it once per call and replay only the failed tasks —
-                    # futures that completed before the break keep their
-                    # results.  A pool another slot already replaced just
-                    # resubmits without consuming the rebuild budget.
-                    if pool is self._process_executor:
-                        self._discard_broken_pool(pool)
-                        if rebuilt:
-                            # The rebuilt pool broke too: stop trusting
-                            # process execution for this task.
-                            breaker.record_failure()
-                            run_local(index)
-                            break
-                        rebuilt = True
-                    future, pool = submit(descriptor)
-                except _FATAL_ERRORS:
-                    raise
-                except Exception:
-                    breaker.record_failure()
-                    if not self._retry_or_fallback(breaker, attempt, deadline, rng):
-                        run_local(index)
-                        break
-                    attempt += 1
-                    future, pool = submit(descriptor)
-        return results, sorted(set(failed))
-
-    def _retry_or_fallback(
-        self,
-        breaker: CircuitBreaker,
-        attempt: int,
-        deadline: Deadline | None,
-        rng: random.Random,
-    ) -> bool:
-        """True to retry on the pool (after backoff), False to go local."""
-        if attempt >= self.retry_policy.attempts or breaker.state == "open":
-            return False
-        delay = self.retry_policy.delay(attempt, rng)
-        if deadline is not None:
-            delay = min(delay, max(deadline.remaining(), 0.0))
-        if delay > 0:
-            time.sleep(delay)
-        return True
-
-    # -- parallel scatter-gather (thread / process) ------------------------
-
-    def _presync_columnar(self, verify: str, mode: str) -> None:
-        """Sync the shared CSR view *before* a thread-pool fan-out.
-
-        ``ColumnarView.sync`` mutates the view in place when records were
-        appended since the last sync; letting pool tasks trigger that
-        concurrently would corrupt it under its readers.  Synced here, on
-        the dispatching thread, the tasks only ever read it.
-        """
-        if mode == "thread" and verify == "columnar":
-            self.dataset.columnar()
-
-    def _scatter_batches(
-        self,
-        shard_items: list[list[int]],
-        queries: Sequence[SetRecord],
-        mode: str,
-        make_task: Callable[[int, list[tuple[int, object]]], tuple[object, ...]],
-        run_local: Callable[[int, list[tuple[int, SetRecord]]], object],
-        deadline: Deadline | None = None,
-        degraded: str = "strict",
-    ) -> tuple[list, list[int]]:
-        """Dispatch per-shard query batches; return ``(partials, failed_shards)``.
-
-        ``shard_items[shard_id]`` lists the query positions the shard must
-        answer.  Thread mode runs ``run_local(shard_id, items)`` over the
-        in-memory TGMs; process mode ships ``make_task(shard_id, payloads)``
-        descriptors to workers rehydrated from :attr:`source_dir`, under
-        the full supervision of :meth:`_run_supervised` (retry + backoff,
-        pool resurrection, per-shard circuit breaker with in-process
-        fallback).  Shard futures are awaited against ``deadline``; in
-        ``degraded="partial"`` mode a shard whose execution fails for good
-        lands in ``failed_shards`` instead of raising.
-        """
-        partials: list = []
-        failed: list[int] = []
-        if mode == "thread":
-            pool = self._threads()
-            submitted = []
-            for shard_id, items in enumerate(shard_items):
-                if items:
-                    batch = [(i, queries[i]) for i in items]
-                    fault_point("shard.submit", f"batch:shard={shard_id}")
-                    submitted.append((shard_id, pool.submit(run_local, shard_id, batch)))
-            for shard_id, future in submitted:
-                try:
-                    partials.extend(future.result(timeout=self._remaining(deadline)))
-                except FuturesTimeoutError:
-                    raise DeadlineExceeded(
-                        f"deadline exceeded awaiting shard {shard_id}"
-                    ) from None
-                except _FATAL_ERRORS:
-                    raise
-                except Exception:
-                    if degraded != "partial":
-                        raise
-                    failed.append(shard_id)
-            return partials, failed
-
-        from repro.distributed.persistence import query_payload
-
-        # A query surviving the bound in several shards is encoded once.
-        payload_cache: dict[int, tuple] = {}
-
-        def payload_of(i: int) -> tuple:
-            if i not in payload_cache:
-                payload_cache[i] = query_payload(self.dataset, queries[i])
-            return payload_cache[i]
-
-        entries = []
-        for shard_id, items in enumerate(shard_items):
-            if items:
-                payloads = [(i, payload_of(i)) for i in items]
-
-                def local(shard_id: int = shard_id, items: list[int] = items) -> object:
-                    return run_local(shard_id, [(i, queries[i]) for i in items])
-
-                entries.append((shard_id, make_task(shard_id, payloads), local))
-        results, failed = self._run_supervised(entries, deadline, degraded)
-        for index in sorted(results):
-            partials.extend(results[index])
-        return partials, failed
-
-    @staticmethod
-    def _note_failed_shards(
-        stats: list[QueryStats],
-        shard_items: list[list[int]],
-        failed_shards: list[int],
-    ) -> None:
-        """Record, per query, which dispatched shards failed (partial mode)."""
-        for shard_id in failed_shards:
-            for i in shard_items[shard_id]:
-                noted = stats[i].extra.setdefault("failed_shards", [])
-                if shard_id not in noted:
-                    noted.append(shard_id)
-        for query_stats in stats:
-            if "failed_shards" in query_stats.extra:
-                query_stats.extra["failed_shards"].sort()
-
-    def _parallel_knn(
-        self,
-        queries: Sequence[SetRecord],
-        k: int,
-        verify: str,
-        mode: str,
-        deadline: Deadline | None = None,
-        degraded: str = "strict",
-    ) -> list[SearchResult]:
-        """kNN for a batch with per-shard partials merged canonically.
-
-        Shards whose bound is 0 for a query are never dispatched: their
-        members are provably at similarity 0, so the parent contributes
-        the shard's ``k`` smallest member indices as zero-padding
-        candidates directly, exactly like the serial path's
-        :func:`~repro.core.search.pad_zero_matches` would.
-        """
-        self._presync_columnar(verify, mode)
-        bound_rows = self._batch_shard_bound_rows(queries)
-        merged: list[list[tuple[int, float]]] = [[] for _ in queries]
-        stats: list[QueryStats] = [QueryStats() for _ in queries]
-        shard_items: list[list[int]] = [[] for _ in range(self.num_shards)]
-        zero_pads: dict[int, list[tuple[int, float]]] = {}
-        for i in range(len(queries)):
-            for shard_id in range(self.num_shards):
-                if bound_rows[i][shard_id] > 0.0:
-                    shard_items[shard_id].append(i)
-                    continue
-                if shard_id not in zero_pads:
-                    groups = self._group_members_of(shard_id)
-                    zero_pads[shard_id] = [
-                        (index, 0.0)
-                        for index in heapq.nsmallest(
-                            k, (m for members in groups for m in members)
-                        )
-                    ]
-                merged[i].extend(zero_pads[shard_id])
-                stats[i].groups_pruned += self._num_groups_of(shard_id)
-
-        def run_local(
-            shard_id: int, batch: list[tuple[int, SetRecord]]
-        ) -> list[tuple[int, list[tuple[int, float]], QueryStats]]:
-            fault_point("shard.exec", f"knn:shard={shard_id}")
-            return _shard_knn_batch(
-                self.dataset, self.tgms[shard_id], batch, k, self.measure, verify
-            )
-
-        def make_task(
-            shard_id: int, payloads: list[tuple[int, object]]
-        ) -> tuple[object, ...]:
-            return ("knn", shard_id, payloads, k, verify)
-
-        partials, failed_shards = self._scatter_batches(
-            shard_items, queries, mode, make_task, run_local, deadline, degraded
-        )
-        for query_id, matches, partial_stats in partials:
-            merged[query_id].extend(matches)
-            stats[query_id].merge(partial_stats)
-        self._note_failed_shards(stats, shard_items, failed_shards)
-        return [
-            finalize_result(sorted(merged[i], key=match_sort_key)[:k], stats[i])
-            for i in range(len(queries))
-        ]
-
-    def _parallel_range(
-        self,
-        queries: Sequence[SetRecord],
-        threshold: float,
-        verify: str,
-        mode: str,
-        deadline: Deadline | None = None,
-        degraded: str = "strict",
-    ) -> list[SearchResult]:
-        """Range search for a batch with per-shard partials concatenated."""
-        self._presync_columnar(verify, mode)
-        bound_rows = self._batch_shard_bound_rows(queries)
-        merged: list[list[tuple[int, float]]] = [[] for _ in queries]
-        stats: list[QueryStats] = [QueryStats() for _ in queries]
-        shard_items: list[list[int]] = [[] for _ in range(self.num_shards)]
-        for i in range(len(queries)):
-            for shard_id in range(self.num_shards):
-                if bound_rows[i][shard_id] >= threshold:
-                    shard_items[shard_id].append(i)
-                else:
-                    stats[i].groups_pruned += self._num_groups_of(shard_id)
-
-        def run_local(
-            shard_id: int, batch: list[tuple[int, SetRecord]]
-        ) -> list[tuple[int, list[tuple[int, float]], QueryStats]]:
-            fault_point("shard.exec", f"range:shard={shard_id}")
-            return _shard_range_batch(
-                self.dataset, self.tgms[shard_id], batch, threshold, self.measure, verify
-            )
-
-        def make_task(
-            shard_id: int, payloads: list[tuple[int, object]]
-        ) -> tuple[object, ...]:
-            return ("range", shard_id, payloads, threshold, verify)
-
-        partials, failed_shards = self._scatter_batches(
-            shard_items, queries, mode, make_task, run_local, deadline, degraded
-        )
-        for query_id, matches, partial_stats in partials:
-            merged[query_id].extend(matches)
-            stats[query_id].merge(partial_stats)
-        self._note_failed_shards(stats, shard_items, failed_shards)
-        return [
-            finalize_result(merged[i], stats[i]) for i in range(len(queries))
-        ]
 
     # -- kNN ---------------------------------------------------------------
 
@@ -1081,7 +528,7 @@ class ShardedLES3:
         deadline: Deadline | None = None,
         degraded: str = "strict",
     ) -> SearchResult:
-        """Serial scatter-gather kNN given precomputed shard bounds (exact).
+        """Scatter-gather kNN given precomputed shard bounds (exact).
 
         The verification kernel (its per-query token scatter) is built
         once and shared by every surviving shard's group visit.  The
@@ -1135,39 +582,32 @@ class ShardedLES3:
         query: SetRecord,
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """kNN search with a pre-interned query record."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        mode = self._resolve_parallel(parallel)
         degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
-        if mode == "serial":
-            return self._gather_knn(
-                query, k, self.shard_bounds(query), self._verify_mode(verify),
-                deadline, degraded_mode,
-            )
-        return self._parallel_knn(
-            [query], k, self._verify_mode(verify), mode, deadline, degraded_mode
-        )[0]
+        return self._gather_knn(
+            query, k, self.shard_bounds(query), self._verify_mode(verify),
+            deadline, degraded_mode,
+        )
 
     def knn(
         self,
         query_tokens: Sequence[Hashable],
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """kNN search over external tokens."""
         return self.knn_record(
-            as_query_record(self.dataset, query_tokens), k, verify, parallel,
-            deadline, degraded,
+            as_query_record(self.dataset, query_tokens), k,
+            verify=verify, deadline=deadline, degraded=degraded,
         )
 
     def batch_knn_record(
@@ -1175,21 +615,15 @@ class ShardedLES3:
         queries: Sequence[SetRecord],
         k: int,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> list[SearchResult]:
         """kNN for every query; shard scoring is one matrix product."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        mode = self._resolve_parallel(parallel)
         degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
-        if mode != "serial":
-            return self._parallel_knn(
-                queries, k, self._verify_mode(verify), mode, deadline, degraded_mode
-            )
         bound_rows = self._batch_shard_bound_rows(queries)
         verify = self._verify_mode(verify)
         return [
@@ -1209,7 +643,7 @@ class ShardedLES3:
         deadline: Deadline | None = None,
         degraded: str = "strict",
     ) -> SearchResult:
-        """Serial scatter-gather range search given precomputed shard bounds.
+        """Scatter-gather range search given precomputed shard bounds.
 
         The deadline is checked at every shard boundary;
         ``degraded="partial"`` records a failing shard in
@@ -1252,39 +686,32 @@ class ShardedLES3:
         query: SetRecord,
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """Range search with a pre-interned query record."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        mode = self._resolve_parallel(parallel)
         degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
-        if mode == "serial":
-            return self._gather_range(
-                query, threshold, self.shard_bounds(query), self._verify_mode(verify),
-                None, deadline, degraded_mode,
-            )
-        return self._parallel_range(
-            [query], threshold, self._verify_mode(verify), mode, deadline, degraded_mode
-        )[0]
+        return self._gather_range(
+            query, threshold, self.shard_bounds(query), self._verify_mode(verify),
+            None, deadline, degraded_mode,
+        )
 
     def range(
         self,
         query_tokens: Sequence[Hashable],
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> SearchResult:
         """Range search over external tokens."""
         return self.range_record(
-            as_query_record(self.dataset, query_tokens), threshold, verify, parallel,
-            deadline, degraded,
+            as_query_record(self.dataset, query_tokens), threshold,
+            verify=verify, deadline=deadline, degraded=degraded,
         )
 
     def batch_range_record(
@@ -1292,30 +719,21 @@ class ShardedLES3:
         queries: Sequence[SetRecord],
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> list[SearchResult]:
         """Range search for every query.
 
-        Shard scoring is one matrix product for the whole batch.  In the
-        serial mode each shard's per-group scoring then runs only for the
-        queries the shard-level bound could not prune — on the dense
-        backend as one (sub-batch × tokens) product per shard; the
-        thread/process modes dispatch the same sub-batches to the pool
-        and merge the partial match lists canonically.
+        Shard scoring is one matrix product for the whole batch.  Each
+        shard's per-group scoring then runs only for the queries the
+        shard-level bound could not prune — on the dense backend as one
+        (sub-batch × tokens) product per shard.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        mode = self._resolve_parallel(parallel)
         degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
-        if mode != "serial":
-            return self._parallel_range(
-                queries, threshold, self._verify_mode(verify), mode, deadline,
-                degraded_mode,
-            )
         bound_rows = self._batch_shard_bound_rows(queries)
         # Per shard: batch-score the surviving sub-batch of queries.
         per_query_bounds: list[dict[int, np.ndarray]] = [{} for _ in queries]
@@ -1346,7 +764,6 @@ class ShardedLES3:
         self,
         threshold: float,
         verify: str | None = None,
-        parallel: str | None = None,
         deadline: Deadline | None = None,
         degraded: str | None = None,
     ) -> JoinResult:
@@ -1363,13 +780,9 @@ class ShardedLES3:
         sizes, so the shard-pair bound dominates every group-pair bound
         it covers.  Shards tile the record pairs exactly once, so the
         sorted result is bit-identical to a single-engine join for any
-        shard count, placement, or per-shard partitioner — and for any
-        execution mode: the thread/process modes dispatch the same
-        within-shard and shard-pair tasks to a pool instead of running
-        them inline.
+        shard count, placement, or per-shard partitioner.
         """
         mode = self._verify_mode(verify)
-        execution = self._resolve_parallel(parallel)
         degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
@@ -1438,66 +851,20 @@ class ShardedLES3:
         # cross-shard task loses pairs touching both of its shards.
         task_shards = [{s} for s in self_tasks] + [{s, t} for s, t in pair_tasks]
         failed_shards: set[int] = set()
-        results: list[JoinResult] = []
-        if execution == "serial":
-            for index, runner in enumerate(runners):
-                if deadline is not None:
-                    deadline.check("join task")
-                try:
-                    results.append(runner())
-                except _FATAL_ERRORS:
+        for index, runner in enumerate(runners):
+            if deadline is not None:
+                deadline.check("join task")
+            try:
+                result = runner()
+            except _FATAL_ERRORS:
+                raise
+            except Exception:
+                if degraded_mode != "partial":
                     raise
-                except Exception:
-                    if degraded_mode != "partial":
-                        raise
-                    failed_shards.update(task_shards[index])
-        elif execution == "thread":
-            self._presync_columnar(mode, execution)
-            pool = self._threads()
-            futures = [pool.submit(runner) for runner in runners]
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result(timeout=self._remaining(deadline)))
-                except FuturesTimeoutError:
-                    raise DeadlineExceeded(
-                        "deadline exceeded awaiting join task"
-                    ) from None
-                except _FATAL_ERRORS:
-                    raise
-                except Exception:
-                    if degraded_mode != "partial":
-                        raise
-                    failed_shards.update(task_shards[index])
-        else:
-            descriptors = [
-                ("join_self", s, threshold, mode) for s in self_tasks
-            ] + [
-                ("join_between", s, t, threshold, mode) for s, t in pair_tasks
-            ]
-
-            def as_worker(
-                runner: Callable[[], JoinResult],
-            ) -> Callable[[], tuple[list[tuple[int, int, float]], QueryStats]]:
-                # The in-process fallback must return the worker's shape.
-                def thunk() -> tuple[list[tuple[int, int, float]], QueryStats]:
-                    result = runner()
-                    return result.pairs, result.stats
-
-                return thunk
-
-            entries = [
-                (descriptor[1], descriptor, as_worker(runner))
-                for descriptor, runner in zip(descriptors, runners)
-            ]
-            supervised, _ = self._run_supervised(entries, deadline, degraded_mode)
-            for index in sorted(supervised):
-                task_pairs, task_stats = supervised[index]
-                results.append(JoinResult(task_pairs, task_stats))
-            for index in sorted(set(range(len(entries))) - set(supervised)):
                 failed_shards.update(task_shards[index])
-        for result in results:
-            pairs.extend(result.pairs)
-            stats.merge(result.stats)
+            else:
+                pairs.extend(result.pairs)
+                stats.merge(result.stats)
         if failed_shards:
             stats.extra["failed_shards"] = sorted(failed_shards)
         pairs.sort()
@@ -1513,11 +880,9 @@ class ShardedLES3:
         shard the group is chosen exactly like the single engine's
         insertion (highest bound, ties to the smallest group).  On an
         engine attached to a saved generation the routing outcome is also
-        appended to the generation's write-ahead ``delta.log`` —
-        :attr:`source_dir` stays armed (process workers replay the log)
-        and a reload reproduces exactly this state.  An engine that was
-        never saved has no log to append to, so mutating it invalidates
-        nothing (its source fields are already unset).
+        appended to the generation's write-ahead ``delta.log``, so a
+        reload reproduces exactly this state.  An engine that was never
+        saved has no log to append to.
         """
         self._require_mutable("insert")
         loads = self._shard_loads
@@ -1568,32 +933,22 @@ class ShardedLES3:
         """Append a committed mutation to the generation's delta log.
 
         With a delta segment attached (the engine went through
-        ``save_sharded``/``load_sharded``) the op is made durable and the
-        source epoch advances to ``<base>+<ops>`` — process workers
-        replay exactly that many ops, and their per-epoch caches evict
-        the stale rehydrations.  Without one (an in-memory build) the
-        source fields are cleared, preserving the old contract that an
-        unsaved mutation disarms process mode.
+        ``save_sharded``/``load_sharded``) the op is made durable;
+        without one (an in-memory build) there is nothing to do.
         """
-        if self._delta is not None:
-            try:
-                if op == "insert":
-                    assert tokens is not None
-                    self._delta.log_insert(tokens, index, group, shard=shard)
-                else:
-                    self._delta.log_remove(index, group, shard=shard)
-            except FileNotFoundError:
-                # The backing generation was deleted out from under us:
-                # durability is moot, so degrade to a never-saved engine
-                # (the mutation itself is applied and stays applied).
-                self._delta = None
-                self._source_dir = None
-                self._source_epoch = None
-                return
-            self._source_epoch = self._delta.epoch()
-        else:
-            self._source_dir = None
-            self._source_epoch = None
+        if self._delta is None:
+            return
+        try:
+            if op == "insert":
+                assert tokens is not None
+                self._delta.log_insert(tokens, index, group, shard=shard)
+            else:
+                self._delta.log_remove(index, group, shard=shard)
+        except FileNotFoundError:
+            # The backing generation was deleted out from under us:
+            # durability is moot, so degrade to a never-saved engine
+            # (the mutation itself is applied and stays applied).
+            self._delta = None
 
     def __repr__(self) -> str:
         return (

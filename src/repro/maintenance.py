@@ -12,8 +12,7 @@ Python-side rebuild (no partitioner training, no model fitting):
   save uses.  A crash at any point leaves the target either the old
   generation (base + its intact delta log — still loadable, still
   exact) or the complete new generation, never a mix.  The new
-  manifest's epoch differs from the old, so process-pool workers and
-  mmap readers keyed by epoch evict their stale rehydrations.
+  manifest's epoch differs from the old.
 
 * :func:`rebalance_index` — re-shard a saved index straight from its
   binary columnar file: groups are read from the shard manifests,

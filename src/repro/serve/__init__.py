@@ -7,8 +7,8 @@ and micro-batched into the engine's batched BLAS kernels:
 
 * :class:`QueryService` (:mod:`repro.serve.service`) — admission bound
   (503 + ``Retry-After`` beyond ``max_queue``), the micro-batcher
-  (``batch_window_ms`` / ``max_batch``), per-shard concurrency limits,
-  and the stats the ``/stats`` endpoint reports.
+  (``batch_window_ms`` / ``max_batch``) and the stats the ``/stats``
+  endpoint reports.
 * :class:`ReproServer` (:mod:`repro.serve.http`) — the dependency-free
   asyncio HTTP/1.1 front: ``POST /knn``, ``POST /range``, ``POST /join``,
   ``POST /insert``, ``POST /remove``, ``GET /healthz``, ``GET /stats``.
@@ -19,7 +19,7 @@ Answers are bit-identical to direct engine calls — batching changes when
 a request runs, never what it computes.  Start one from the command
 line::
 
-    repro serve my-sharded-index --mode lazy --parallel process
+    repro serve my-sharded-index --mode lazy
 
 or from Python/tests with an ephemeral port::
 
@@ -33,12 +33,7 @@ generator that produces ``BENCH_serve.json``.
 """
 
 from repro.serve.http import ReproServer, request_json, serve, wait_ready
-from repro.serve.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-)
+from repro.serve.resilience import Deadline, DeadlineExceeded
 from repro.serve.service import QueryService, ServiceOverloaded, ServiceStats
 
 __all__ = [
@@ -49,8 +44,6 @@ __all__ = [
     "serve",
     "request_json",
     "wait_ready",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
-    "RetryPolicy",
 ]

@@ -23,9 +23,9 @@ and land in the loaded generation's write-ahead ``delta.log`` when the
 index came from a save — so they survive a restart.  A write against a
 lazily loaded (read-only) index answers 400.
 
-Query bodies may also carry ``verify`` / ``parallel`` overrides — the
-same canonical kwargs the Python API takes (:class:`repro.api.QueryRequest`
-validates both identically) — plus the robustness knobs ``timeout_ms``
+Query bodies may also carry a ``verify`` override — the same canonical
+kwarg the Python API takes (:class:`repro.api.QueryRequest` validates it
+identically) — plus the robustness knobs ``timeout_ms``
 (per-request deadline, anchored at admission) and ``degraded``
 (``"strict"`` / ``"partial"``).  Responses are JSON; errors are JSON too
 (``{"error": ...}``) with conventional status codes: 400 malformed
@@ -124,26 +124,20 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 8722,
         mode: str = "memory",
-        parallel: str | None = None,
         verify: str | None = None,
         batch_window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 256,
         concurrency: int = 1,
-        shard_workers: int | None = None,
         default_timeout_ms: int | None = None,
         max_timeout_ms: int | None = None,
         drain_seconds: float = 5.0,
-        retry_attempts: int | None = None,
-        breaker_threshold: int | None = None,
-        breaker_reset_seconds: float | None = None,
         engine: Engine | None = None,
     ) -> None:
         self.directory = directory
         self.host = host
         self.port = port
         self.mode = mode
-        self.parallel = parallel
         self.verify = verify
         self.drain_seconds = drain_seconds
         self._service_options = {
@@ -151,14 +145,8 @@ class ReproServer:
             "max_batch": max_batch,
             "max_queue": max_queue,
             "concurrency": concurrency,
-            "shard_workers": shard_workers,
             "default_timeout_ms": default_timeout_ms,
             "max_timeout_ms": max_timeout_ms,
-        }
-        self._resilience_options = {
-            "retry_attempts": retry_attempts,
-            "breaker_threshold": breaker_threshold,
-            "breaker_reset_seconds": breaker_reset_seconds,
         }
         self._preloaded = engine
         self.engine: Engine | None = engine
@@ -181,20 +169,6 @@ class ReproServer:
         self._load_task = asyncio.get_running_loop().create_task(self._bring_up())
         return self
 
-    def _apply_resilience(self, engine: Engine) -> None:
-        """Apply supervision knobs to a sharded engine (no-ops otherwise)."""
-        attempts = self._resilience_options["retry_attempts"]
-        if attempts is not None and hasattr(engine, "retry_policy"):
-            from dataclasses import replace
-
-            engine.retry_policy = replace(engine.retry_policy, attempts=attempts)
-        threshold = self._resilience_options["breaker_threshold"]
-        if threshold is not None and hasattr(engine, "breaker_threshold"):
-            engine.breaker_threshold = threshold
-        reset = self._resilience_options["breaker_reset_seconds"]
-        if reset is not None and hasattr(engine, "breaker_reset_seconds"):
-            engine.breaker_reset_seconds = reset
-
     async def _bring_up(self) -> None:
         try:
             if self._preloaded is not None:
@@ -202,14 +176,8 @@ class ReproServer:
             else:
                 engine = await asyncio.get_running_loop().run_in_executor(
                     None,
-                    lambda: load(
-                        self.directory,
-                        mode=self.mode,
-                        parallel=self.parallel,
-                        verify=self.verify,
-                    ),
+                    lambda: load(self.directory, mode=self.mode, verify=self.verify),
                 )
-            self._apply_resilience(engine)
             service = QueryService(engine, **self._service_options)
             await service.start()
             self.engine = engine
@@ -263,8 +231,6 @@ class ReproServer:
                 pass
         if self.service is not None:
             await self.service.stop()
-        if self.engine is not None and hasattr(self.engine, "close"):
-            self.engine.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

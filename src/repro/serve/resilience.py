@@ -3,26 +3,13 @@
 The primitives themselves live in :mod:`repro.core.resilience` —
 ``repro.distributed`` uses them too and must not import the serving
 layer — but operators configuring ``repro serve`` reach for them from
-here:
-
-* :class:`Deadline` / :class:`DeadlineExceeded` — per-request budgets;
-  the service anchors one at admission from ``timeout_ms`` and the HTTP
-  layer maps an expired one to ``504 Gateway Timeout``.
-* :class:`RetryPolicy` — bounded exponential backoff (with jitter) for
-  process-mode shard tasks (``--retry-attempts``).
-* :class:`CircuitBreaker` — per-shard failure tracking; an open breaker
-  routes the shard's work to in-process serial execution until a timed
-  half-open probe succeeds (``--breaker-threshold`` /
-  ``--breaker-reset-seconds``).
+here: :class:`Deadline` / :class:`DeadlineExceeded` are per-request
+budgets; the service anchors one at admission from ``timeout_ms`` and
+the HTTP layer maps an expired one to ``504 Gateway Timeout``.
 
 See ``docs/operations.md`` for how the pieces compose under failure.
 """
 
-from repro.core.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-)
+from repro.core.resilience import Deadline, DeadlineExceeded
 
-__all__ = ["CircuitBreaker", "Deadline", "DeadlineExceeded", "RetryPolicy"]
+__all__ = ["Deadline", "DeadlineExceeded"]

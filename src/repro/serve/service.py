@@ -17,9 +17,7 @@ trip through the engine; they flow through a :class:`QueryService`:
    compatible kNN/range requests into the engine's batched BLAS kernels.
 3. **Execution.**  Engine work is CPU-bound, so batches run on a small
    thread pool (``concurrency`` batches in flight at most, default 1 —
-   numpy releases the GIL inside BLAS, and the engine's own
-   thread/process pools parallelize *within* a batch across shards;
-   ``shard_workers`` caps that per-shard fan-out).
+   numpy releases the GIL inside BLAS).
 4. **Accounting.**  Every answered request feeds the service stats:
    queries served per kind, a batch-size histogram, and a latency
    reservoir from which ``/stats`` reports p50/p99.
@@ -238,10 +236,6 @@ class QueryService:
         Beyond it :meth:`submit` raises :class:`ServiceOverloaded`.
     concurrency : int, default 1
         Batches allowed in flight on the executor simultaneously.
-    shard_workers : int, optional
-        Per-shard fan-out cap for the engine's own thread/process pools
-        (``engine.query_workers``); None keeps the engine default
-        (``min(num_shards, cpu_count)``).
     default_timeout_ms : int, optional
         Deadline applied to requests that do not carry their own
         ``timeout_ms``.  None (the default) means no implicit deadline.
@@ -265,7 +259,6 @@ class QueryService:
         max_batch: int = 64,
         max_queue: int = 256,
         concurrency: int = 1,
-        shard_workers: int | None = None,
         default_timeout_ms: int | None = None,
         max_timeout_ms: int | None = None,
     ) -> None:
@@ -290,8 +283,6 @@ class QueryService:
         self.concurrency = concurrency
         self.default_timeout_ms = default_timeout_ms
         self.max_timeout_ms = max_timeout_ms
-        if shard_workers is not None:
-            engine.query_workers = shard_workers
         self.stats = ServiceStats()
         self._gate = _EngineGate()
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue()

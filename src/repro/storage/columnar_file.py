@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections.abc import Sequence as SequenceABC
 from pathlib import Path
 from typing import Iterator, overload
@@ -49,7 +50,7 @@ from typing import Iterator, overload
 import numpy as np
 
 from repro.core.cache import LRUCache
-from repro.core.columnar import ColumnarView, _grow as _csr_grow
+from repro.core.columnar import ColumnarView, _flatten_records, _grow as _csr_grow
 from repro.core.dataset import Dataset
 from repro.core.persistence import PersistenceError
 from repro.core.sets import SetRecord
@@ -518,6 +519,7 @@ class MappedColumnarView(ColumnarView):
         # still fault in lazily) — plain ndarray indexing is what the
         # query kernels' gather rates are calibrated for.
         self.dataset = None
+        self._sync_lock = threading.Lock()
         self._tokens = np.asarray(reader.segment("tokens"))
         self._counts = np.asarray(reader.segment("counts"))
         self._offsets = np.asarray(reader.segment("offsets"))
@@ -530,55 +532,40 @@ class MappedColumnarView(ColumnarView):
         self._tail_tokens: np.ndarray | None = None
         self._tail_counts: np.ndarray | None = None
 
-    def _ensure_tail(self) -> None:
-        """Make the view growable without materializing the mapped payload."""
-        if self._tail_tokens is None:
-            # offsets/sizes are 16 bytes per record — copying them to RAM
-            # is what lets them extend past the file; the token payload
-            # (the part that scales with Σ|S|) stays mapped.
-            self._offsets = np.array(self._offsets[: self._num_records + 1], dtype=np.int64)
-            self._sizes = np.array(self._sizes[: self._num_records], dtype=np.int64)
-            self._tail_tokens = np.empty(0, dtype=np.int64)
-            self._tail_counts = np.empty(0, dtype=np.int64)
-
     def sync(self) -> "MappedColumnarView":
         """Append records added after mapping into the in-RAM CSR tail."""
-        if self.dataset is None:
-            return self
-        records = self.dataset.records
-        if len(records) == self._num_records:
-            return self
-        self._ensure_tail()
-        assert self._tail_tokens is not None and self._tail_counts is not None
-        flat_tokens: list[int] = []
-        flat_counts: list[int] = []
-        lengths: list[int] = []
-        sizes: list[int] = []
-        for record in records[self._num_records:]:
-            if record.is_multiset:
-                items = sorted(record.counts().items())
-                flat_tokens.extend(token for token, _ in items)
-                flat_counts.extend(count for _, count in items)
-                lengths.append(len(items))
-            else:
-                flat_tokens.extend(record.tokens)
-                flat_counts.extend([1] * len(record.tokens))
-                lengths.append(len(record.tokens))
-            sizes.append(len(record))
-        extra_nnz = len(flat_tokens)
-        extra_rows = len(lengths)
-        used_tail = self._nnz - self._base_nnz
-        self._tail_tokens = _csr_grow(self._tail_tokens, used_tail, extra_nnz)
-        self._tail_counts = _csr_grow(self._tail_counts, used_tail, extra_nnz)
-        self._tail_tokens[used_tail:used_tail + extra_nnz] = flat_tokens
-        self._tail_counts[used_tail:used_tail + extra_nnz] = flat_counts
-        self._offsets = _csr_grow(self._offsets, self._num_records + 1, extra_rows)
-        tail = self._offsets[self._num_records] + np.cumsum(lengths, dtype=np.int64)
-        self._offsets[self._num_records + 1:self._num_records + 1 + extra_rows] = tail
-        self._sizes = _csr_grow(self._sizes, self._num_records, extra_rows)
-        self._sizes[self._num_records:self._num_records + extra_rows] = sizes
-        self._num_records = len(records)
-        self._nnz += extra_nnz
+        if self.dataset is None or len(self.dataset.records) == self._num_records:
+            return self  # once per query: stays lock-free
+        with self._sync_lock:
+            records = self.dataset.records
+            if len(records) == self._num_records:
+                return self  # another reader appended them meanwhile
+            if self._tail_tokens is None or self._tail_counts is None:
+                # First growth.  offsets/sizes are 16 bytes per record —
+                # copying them to RAM is what lets them extend past the
+                # file; the token payload (the part that scales with
+                # Σ|S|) stays mapped.
+                self._offsets = np.array(self._offsets[: self._num_records + 1], dtype=np.int64)
+                self._sizes = np.array(self._sizes[: self._num_records], dtype=np.int64)
+                self._tail_tokens = np.empty(0, dtype=np.int64)
+                self._tail_counts = np.empty(0, dtype=np.int64)
+            flat_tokens, flat_counts, lengths, sizes = _flatten_records(
+                records[self._num_records:]
+            )
+            extra_nnz = len(flat_tokens)
+            extra_rows = len(lengths)
+            used_tail = self._nnz - self._base_nnz
+            self._tail_tokens = _csr_grow(self._tail_tokens, used_tail, extra_nnz)
+            self._tail_counts = _csr_grow(self._tail_counts, used_tail, extra_nnz)
+            self._tail_tokens[used_tail:used_tail + extra_nnz] = flat_tokens
+            self._tail_counts[used_tail:used_tail + extra_nnz] = flat_counts
+            self._offsets = _csr_grow(self._offsets, self._num_records + 1, extra_rows)
+            tail = self._offsets[self._num_records] + np.cumsum(lengths, dtype=np.int64)
+            self._offsets[self._num_records + 1:self._num_records + 1 + extra_rows] = tail
+            self._sizes = _csr_grow(self._sizes, self._num_records, extra_rows)
+            self._sizes[self._num_records:self._num_records + extra_rows] = sizes
+            self._nnz += extra_nnz
+            self._num_records += extra_rows  # last: publishes the rows to lock-free readers
         return self
 
     def tokens_of(self, record_index: int) -> np.ndarray:

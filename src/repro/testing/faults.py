@@ -15,22 +15,19 @@ detail string) and an ``action``:
     sleep ``delay_seconds`` before continuing — a slow disk or a slow
     shard, used by the deadline tests;
 ``kill``
-    ``SIGKILL`` the *current process* — inside a process-pool worker
-    this is the canonical "worker died mid-task" fault.
+    ``SIGKILL`` the *current process* — armed in a subprocess this is
+    the canonical "died mid-save" fault of the crash-safety matrices.
 
 Rules fire deterministically: ``skip`` hits are ignored first, then the
 rule fires ``times`` times (``times < 0`` means forever).  A rule with a
 ``token`` path fires **exactly once across processes**: the first
 process to atomically create the token file wins, every other process
-(e.g. the sibling workers of a forked pool) skips the rule.  Plans are
+armed with the same plan skips the rule.  Plans are
 JSON round-trippable so subprocesses can be armed through the
 ``REPRO_FAULTS`` environment variable::
 
-    REPRO_FAULTS='{"rules": [{"point": "shard.task", "action": "kill",
+    REPRO_FAULTS='{"rules": [{"point": "save.swap", "action": "kill",
                               "skip": 3, "token": "/tmp/kill.tok"}]}'
-
-Process-pool workers on Linux are forked from an armed parent and
-therefore inherit the armed plan without any environment plumbing.
 """
 
 from __future__ import annotations

@@ -86,8 +86,6 @@ def make_dirty(tmp_path, dataset, sharded: bool):
         save_engine(engine, directory)
     engine.insert(["compact-a", "compact-b"])
     engine.remove(2)
-    if sharded:
-        engine.close()
     old_epoch = json.loads((directory / "manifest.json").read_text())["epoch"]
     return directory, old_epoch
 
@@ -142,15 +140,10 @@ def assert_old_or_new(target, load, old_epoch, expected):
             "the old manifest without its delta log loses committed writes"
         )
     loaded = load(target)
-    try:
-        assert len(loaded.dataset) == num_records
-        assert set(loaded.removed) == removed
-        for query, answer in zip(queries, answers):
-            assert loaded.knn(query, 5).matches == answer
-    finally:
-        close = getattr(loaded, "close", None)
-        if close is not None:
-            close()
+    assert len(loaded.dataset) == num_records
+    assert set(loaded.removed) == removed
+    for query, answer in zip(queries, answers):
+        assert loaded.knn(query, 5).matches == answer
 
 
 class TestCompactEngineMatrix:

@@ -1,24 +1,10 @@
-"""Resilience primitives: deadlines, retry policy, circuit breaker.
-
-The circuit breaker additionally gets a Hypothesis state machine:
-whatever interleaving of failures, successes, probes, and clock
-advances occurs, the breaker never enters an invalid state, never
-refuses progress forever, and always re-closes after a healthy probe.
-"""
+"""Resilience primitives: deadlines."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
-from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-)
+from repro.core.resilience import Deadline, DeadlineExceeded
 
 
 class TestDeadline:
@@ -40,149 +26,3 @@ class TestDeadline:
 
     def test_deadline_exceeded_is_timeout(self):
         assert issubclass(DeadlineExceeded, TimeoutError)
-
-
-class TestRetryPolicy:
-    def test_exponential_schedule_no_jitter(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.1, multiplier=2.0, jitter=0.0)
-        assert [round(policy.delay(n), 3) for n in (1, 2, 3)] == [0.1, 0.2, 0.4]
-
-    def test_max_delay_caps(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=10.0, max_delay=2.0, jitter=0.0)
-        assert policy.delay(5) == 2.0
-
-    def test_jitter_only_shrinks(self):
-        policy = RetryPolicy(base_delay=0.5, multiplier=1.0, jitter=0.5)
-        for attempt in range(1, 6):
-            delay = policy.delay(attempt)
-            assert 0.25 <= delay <= 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="attempts"):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-        with pytest.raises(ValueError, match="delays"):
-            RetryPolicy(base_delay=-1.0)
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, reset=10.0):
-        state = {"now": 0.0}
-        breaker = CircuitBreaker(threshold, reset, clock=lambda: state["now"])
-        return breaker, state
-
-    def test_opens_after_threshold(self):
-        breaker, _ = self.make(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-
-    def test_success_resets_consecutive_count(self):
-        breaker, _ = self.make(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # failures were not consecutive
-
-    def test_half_open_single_probe(self):
-        breaker, state = self.make(threshold=1, reset=10.0)
-        breaker.record_failure()
-        assert not breaker.allow()
-        state["now"] = 10.0
-        assert breaker.allow()  # the one half-open probe
-        assert breaker.state == "half_open"
-        assert not breaker.allow()  # a second concurrent probe is refused
-
-    def test_probe_failure_reopens_with_fresh_cooldown(self):
-        breaker, state = self.make(threshold=1, reset=10.0)
-        breaker.record_failure()
-        state["now"] = 10.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        state["now"] = 19.0  # 9s since the re-open: still cooling down
-        assert not breaker.allow()
-        state["now"] = 20.0
-        assert breaker.allow()
-
-    def test_probe_success_closes(self):
-        breaker, state = self.make(threshold=1, reset=5.0)
-        breaker.record_failure()
-        state["now"] = 5.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(0)
-        with pytest.raises(ValueError, match="reset_seconds"):
-            CircuitBreaker(1, -1.0)
-
-
-class BreakerMachine(RuleBasedStateMachine):
-    """Adversarial interleavings of failures, probes, and clock advances.
-
-    Two liveness/safety properties:
-
-    * the breaker is always in one of its three named states, and
-      ``allow()`` never raises or blocks;
-    * from *any* state, one clock advance plus one healthy probe
-      re-closes it — the breaker can never deadlock into refusing a
-      healthy shard forever.
-    """
-
-    RESET = 10.0
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.now = 0.0
-        self.breaker = CircuitBreaker(3, self.RESET, clock=lambda: self.now)
-
-    @rule(delta=st.floats(min_value=0.0, max_value=25.0, allow_nan=False))
-    def advance_clock(self, delta):
-        self.now += delta
-
-    @rule()
-    def shard_fails(self):
-        if self.breaker.allow():
-            self.breaker.record_failure()
-
-    @rule()
-    def shard_succeeds(self):
-        if self.breaker.allow():
-            self.breaker.record_success()
-            assert self.breaker.state == "closed"
-
-    @rule()
-    def probe_without_resolution(self):
-        # A caller asked permission but never reported back (e.g. died).
-        self.breaker.allow()
-
-    @rule()
-    def healthy_shard_always_recovers(self):
-        if self.breaker.state == "open":
-            self.now += self.RESET  # cooldown elapses
-            assert self.breaker.allow(), "open breaker refused its half-open probe"
-        # closed: allowed trivially; half_open: an in-flight probe may
-        # report back directly.  Either way one success must re-close.
-        self.breaker.record_success()
-        assert self.breaker.state == "closed"
-        assert self.breaker.allow()
-
-    @invariant()
-    def state_is_always_valid(self):
-        assert self.breaker.state in ("closed", "open", "half_open")
-
-    @invariant()
-    def closed_always_allows(self):
-        if self.breaker.state == "closed":
-            assert self.breaker.allow()
-
-
-TestBreakerStateMachine = BreakerMachine.TestCase
-TestBreakerStateMachine.settings = settings(max_examples=60, stateful_step_count=30)

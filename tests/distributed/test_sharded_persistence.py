@@ -106,7 +106,6 @@ class TestRoundTrip:
         assert loaded.placement == "size"
         assert loaded.verify == "scalar"
         assert loaded.measure.name == "jaccard"
-        assert loaded.source_dir == str(tmp_path / "idx")
 
     def test_from_engine_tombstones_carry_over(self, dataset, tmp_path):
         single = LES3.build(dataset, num_groups=10, partitioner=MinTokenPartitioner())
@@ -126,26 +125,13 @@ class TestRoundTrip:
         assert not (tmp_path / "idx" / shard_dir_name(7)).exists()
         assert load_sharded(tmp_path / "idx").num_shards == 2
 
-    def test_save_arms_process_mode(self, dataset, tmp_path):
+    def test_save_attaches_the_delta_log(self, dataset, tmp_path):
         engine = build_sharded(dataset, 3)
-        assert engine.source_dir is None
+        assert engine._delta is None  # never saved: nothing to append to
         save_sharded(engine, tmp_path / "idx")
-        assert engine.source_dir == str(tmp_path / "idx")
-        base_epoch = engine._source_epoch
         engine.remove(0)
-        # Mutation no longer invalidates the save: the op lands in the
-        # generation's delta.log and the epoch advertises it to workers.
-        assert engine.source_dir == str(tmp_path / "idx")
-        assert engine._source_epoch == f"{base_epoch}+1"
+        assert engine._delta.num_ops == 1
         assert (tmp_path / "idx" / "delta.log").is_file()
-
-    def test_unsaved_mutation_still_disarms_process_mode(self, dataset, tmp_path):
-        """An engine never saved has no delta log: the old contract holds."""
-        engine = build_sharded(dataset, 3)
-        save_sharded(engine, tmp_path / "idx")
-        rebuilt = build_sharded(dataset, 3)
-        rebuilt.remove(0)
-        assert rebuilt.source_dir is None
 
     def test_delta_mutations_survive_reload(self, dataset, tmp_path):
         engine = build_sharded(dataset, 3)
@@ -156,7 +142,6 @@ class TestRoundTrip:
         assert reloaded.knn(["delta-only", "tokens"], k=1).matches == [(index, 1.0)]
         assert reloaded.removed == engine.removed
         assert reloaded._delta.num_ops == 2
-        assert reloaded._source_epoch.endswith("+2")
 
 
 class TestCorruptionDetection:

@@ -1,26 +1,22 @@
-"""Shard execution supervision: retry, pool resurrection, breaker, degradation.
+"""Shard execution under faults: degraded mode and deadlines.
 
-Process-mode shard tasks run under supervision (``_run_supervised``):
-transient worker faults are retried, a SIGKILLed worker triggers one
-pool rebuild with only the failed tasks replayed, persistent failures
-trip a per-shard circuit breaker that falls back to in-process serial
-execution, and ``degraded="partial"`` turns a truly dead shard into
-``stats.extra["failed_shards"]`` instead of an exception.  Throughout,
-strict mode must stay bit-identical to serial execution or raise —
-never silently drop a shard.
+Shard work runs on the calling thread, one shard after another.  A
+shard whose execution fails raises in strict mode — which must stay
+bit-identical or raise, never silently drop a shard — and becomes
+``stats.extra["failed_shards"]`` under ``degraded="partial"``; a
+deadline is checked at every shard boundary and is never converted
+into a failed shard.
 
-Faults are injected via :mod:`repro.testing.faults`; worker processes
-inherit the armed plan through fork, and token files make ``kill``/
-transient rules fire exactly once across the whole pool.
+Faults are injected via :mod:`repro.testing.faults`.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.resilience import Deadline, DeadlineExceeded, RetryPolicy
+from repro.core.resilience import Deadline, DeadlineExceeded
 from repro.datasets import zipf_dataset
-from repro.distributed import ShardedLES3, save_sharded
+from repro.distributed import ShardedLES3
 from repro.partitioning import MinTokenPartitioner
 from repro.testing.faults import (
     FaultPlan,
@@ -54,31 +50,16 @@ def queries(dataset):
     return sample_queries(dataset, 6, seed=3)
 
 
-@pytest.fixture()
-def engine(dataset, tmp_path):
-    """A fresh 4-shard engine, saved so process mode can rehydrate workers.
-
-    Function-scoped on purpose: these tests poison pools, trip breakers,
-    and mutate retry policies — none of that may leak between tests.
-    """
-    engine = ShardedLES3.build(
+@pytest.fixture(scope="module")
+def engine(dataset):
+    return ShardedLES3.build(
         dataset, 4, num_groups=10,
         partitioner_factory=minitoken_factory, strategy="range",
     )
-    save_sharded(engine, tmp_path / "idx")
-    engine.retry_policy = RetryPolicy(
-        attempts=3, base_delay=0.0, multiplier=1.0, max_delay=0.0, jitter=0.0
-    )
-    yield engine
-    engine.close()
-
-
-def knn_matches(engine, queries, **kwargs):
-    return [r.matches for r in engine.batch_knn_record(queries, 5, **kwargs)]
 
 
 def shard_touching(engine, queries, shard_id):
-    """A query whose serial kNN actually executes ``shard_id``."""
+    """A query whose kNN actually executes ``shard_id``."""
     needle = f"knn:shard={shard_id}"
     for query in queries:
         with recording() as trace:
@@ -86,70 +67,6 @@ def shard_touching(engine, queries, shard_id):
         if any(point == "shard.exec" and needle in detail for point, detail in trace):
             return query
     pytest.fail(f"no sample query dispatches shard {shard_id}")
-
-
-class TestRetryAndResurrection:
-    def test_transient_worker_fault_is_retried_bit_identical(
-        self, engine, queries, tmp_path
-    ):
-        serial = knn_matches(engine, queries)
-        token = tmp_path / "transient.tok"
-        plan = FaultPlan(
-            [FaultRule("shard.task", times=-1, token=str(token))]
-        )
-        with armed(plan):
-            answers = knn_matches(engine, queries, parallel="process")
-        assert token.exists(), "the injected fault never fired"
-        assert answers == serial
-
-    def test_killed_worker_pool_rebuilt_bit_identical(
-        self, engine, queries, tmp_path
-    ):
-        serial = knn_matches(engine, queries)
-        token = tmp_path / "kill.tok"
-        plan = FaultPlan(
-            [FaultRule("shard.task", action="kill", times=-1, token=str(token))]
-        )
-        with armed(plan):
-            answers = knn_matches(engine, queries, parallel="process")
-        assert token.exists(), "no worker was killed"
-        assert answers == serial  # zero failed strict-mode requests
-
-    def test_persistent_worker_failure_served_by_local_fallback(
-        self, engine, queries
-    ):
-        serial = knn_matches(engine, queries)
-        plan = FaultPlan([FaultRule("shard.task", times=-1)])
-        with armed(plan):
-            answers = knn_matches(engine, queries, parallel="process")
-        assert answers == serial
-
-
-class TestCircuitBreakerLifecycle:
-    def test_breaker_opens_then_probe_recloses(self, engine, queries):
-        clock = {"now": 0.0}
-        engine._breaker_clock = lambda: clock["now"]
-        engine.breaker_threshold = 2
-        serial = knn_matches(engine, queries)
-
-        with armed(FaultPlan([FaultRule("shard.task", times=-1)])):
-            # Call 1: every attempt fails → threshold reached → open.
-            assert knn_matches(engine, queries, parallel="process") == serial
-            opened = [
-                s for s, b in engine._breakers.items() if b.state == "open"
-            ]
-            assert opened, "no breaker opened under persistent failure"
-            # Call 2: open breakers skip the pool entirely, answers still
-            # come from the in-process fallback.
-            assert knn_matches(engine, queries, parallel="process") == serial
-
-        # The poisoned pool's workers inherited the armed plan: retire
-        # them, advance past the cooldown, and let the half-open probe
-        # find a healthy pool.
-        engine.close()
-        clock["now"] += engine.breaker_reset_seconds + 1.0
-        assert knn_matches(engine, queries, parallel="process") == serial
-        assert all(b.state == "closed" for b in engine._breakers.values())
 
 
 class TestDegradedMode:
@@ -167,20 +84,11 @@ class TestDegradedMode:
             result = engine.knn_record(query, 5, degraded="partial")
         assert result.stats.extra["failed_shards"] == [0]
 
-    def test_partial_process_batch_reports_failed_shards(self, engine, queries):
-        # Shard 0 fails in the workers *and* in the parent's fallback:
-        # truly dead.  Partial mode answers from the healthy shards.
-        plan = FaultPlan(
-            [
-                FaultRule("shard.task", match="knn:shard=0", times=-1),
-                FaultRule("shard.exec", match="knn:shard=0", times=-1),
-            ]
-        )
-        serial = engine.batch_knn_record(queries, 5)
+    def test_partial_batch_reports_failed_shards(self, engine, queries):
+        plan = FaultPlan([FaultRule("shard.exec", match="knn:shard=0", times=-1)])
+        healthy = engine.batch_knn_record(queries, 5)
         with armed(plan):
-            partial = engine.batch_knn_record(
-                queries, 5, parallel="process", degraded="partial"
-            )
+            partial = engine.batch_knn_record(queries, 5, degraded="partial")
         flagged = [
             i for i, r in enumerate(partial)
             if r.stats.extra.get("failed_shards") == [0]
@@ -190,30 +98,21 @@ class TestDegradedMode:
             i for i, r in enumerate(partial) if "failed_shards" not in r.stats.extra
         ]
         for i in untouched:
-            assert partial[i].matches == serial[i].matches
+            assert partial[i].matches == healthy[i].matches
 
-    def test_strict_process_batch_raises_when_fallback_fails_too(
-        self, engine, queries
-    ):
-        plan = FaultPlan(
-            [
-                FaultRule("shard.task", match="knn:shard=0", times=-1),
-                FaultRule("shard.exec", match="knn:shard=0", times=-1),
-            ]
-        )
+    def test_strict_batch_raises_on_shard_failure(self, engine, queries):
+        plan = FaultPlan([FaultRule("shard.exec", match="knn:shard=0", times=-1)])
         with armed(plan):
             with pytest.raises(InjectedFault):
-                engine.batch_knn_record(queries, 5, parallel="process")
+                engine.batch_knn_record(queries, 5)
 
 
 class TestDeadlines:
     def test_expired_deadline_refused_before_execution(self, engine, queries):
-        for parallel in (None, "thread", "process"):
-            with pytest.raises(DeadlineExceeded, match="before query execution"):
-                engine.knn_record(queries[0], 5, parallel=parallel,
-                                  deadline=Deadline(0.0))
+        with pytest.raises(DeadlineExceeded, match="before query execution"):
+            engine.knn_record(queries[0], 5, deadline=Deadline(0.0))
 
-    def test_slow_shard_serial(self, engine, queries):
+    def test_slow_shard(self, engine, queries):
         query = shard_touching(engine, queries, 0)
         plan = FaultPlan(
             [FaultRule("shard.exec", action="delay", delay_seconds=0.1, times=-1)]
@@ -221,24 +120,6 @@ class TestDeadlines:
         with armed(plan):
             with pytest.raises(DeadlineExceeded):
                 engine.knn_record(query, 5, deadline=Deadline(0.05))
-
-    def test_slow_shard_thread(self, engine, queries):
-        plan = FaultPlan(
-            [FaultRule("shard.exec", action="delay", delay_seconds=0.2, times=-1)]
-        )
-        with armed(plan):
-            with pytest.raises(DeadlineExceeded):
-                knn_matches(engine, queries, parallel="thread",
-                            deadline=Deadline(0.05))
-
-    def test_slow_shard_process(self, engine, queries):
-        plan = FaultPlan(
-            [FaultRule("shard.task", action="delay", delay_seconds=0.5, times=-1)]
-        )
-        with armed(plan):
-            with pytest.raises(DeadlineExceeded):
-                knn_matches(engine, queries, parallel="process",
-                            deadline=Deadline(0.05))
 
     def test_partial_mode_never_masks_deadlines(self, engine, queries):
         # DeadlineExceeded is fatal: degraded mode must not convert an

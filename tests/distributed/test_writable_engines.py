@@ -16,8 +16,6 @@ The historical failure modes this file pins down:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -94,80 +92,36 @@ class TestMmapMutation:
             assert reloaded.knn(query, 5).matches == engine.knn(query, 5).matches
 
     def test_sharded_mmap_mutation_durable(self, sharded_dir):
-        with load_sharded(sharded_dir, mode="mmap") as engine:
-            index, shard, _group = engine.insert(["shard-mmap-a", "shard-mmap-b"])
-            engine.remove(5)
-            expected = engine.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches
+        engine = load_sharded(sharded_dir, mode="mmap")
+        index, shard, _group = engine.insert(["shard-mmap-a", "shard-mmap-b"])
+        engine.remove(5)
+        expected = engine.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches
         assert (sharded_dir / DELTA_LOG).exists()
-        with load_sharded(sharded_dir, mode="mmap") as reloaded:
-            assert reloaded.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches == expected
-            assert 5 in reloaded.removed
-            assert reloaded._shard_of[index] == shard
-
-    def test_replayed_tail_is_synced_before_concurrent_shard_builds(
-        self, sharded_dir, monkeypatch
-    ):
-        """Spine defect D1: pool-thread shard builds raced on ``sync()``.
-
-        ``ColumnarView.sync`` is not thread-safe.  The load must append
-        the replayed records to the shared CSR view on the loading
-        thread; the ``workers=4`` builders may then only read it.
-        """
-        with load_sharded(sharded_dir, mode="mmap") as engine:
-            inserted = [
-                engine.insert([f"d1-{i}", f"d1-{i + 1}", "d1-shared"])[0]
-                for i in range(12)
-            ]
-            engine.remove(inserted[3])
-            engine.remove(7)
-        appending_threads = []
-        plain_sync = MappedColumnarView.sync
-
-        def recording_sync(view):
-            if view.dataset is not None and len(view.dataset.records) != view.num_records:
-                appending_threads.append(threading.get_ident())
-            return plain_sync(view)
-
-        monkeypatch.setattr(MappedColumnarView, "sync", recording_sync)
-        query = ["d1-4", "d1-5", "d1-shared"]
-        with load_sharded(sharded_dir, mode="mmap", workers=1) as serial:
-            reference = serial.dataset._columnar
-            expected = serial.knn(query, 6).matches
-            for _ in range(5):
-                appending_threads.clear()
-                with load_sharded(sharded_dir, mode="mmap", workers=4) as loaded:
-                    assert appending_threads == [threading.get_ident()]
-                    view = loaded.dataset._columnar
-                    assert view.nnz == reference.nnz
-                    assert np.array_equal(
-                        view._offsets[: view.num_records + 1],
-                        reference._offsets[: reference.num_records + 1],
-                    )
-                    assert np.array_equal(view.flat_tokens(), reference.flat_tokens())
-                    assert loaded.knn(query, 6).matches == expected
-                    assert inserted[3] not in loaded._shard_of
+        reloaded = load_sharded(sharded_dir, mode="mmap")
+        assert reloaded.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches == expected
+        assert 5 in reloaded.removed
+        assert reloaded._shard_of[index] == shard
 
 
 class TestLazyIsReadOnly:
     def test_insert_raises_persistence_error(self, sharded_dir):
-        with load_sharded(sharded_dir, mode="lazy") as engine:
-            with pytest.raises(PersistenceError, match="lazily loaded.*mode='mmap'"):
-                engine.insert(["lazy-a", "lazy-b"])
+        engine = load_sharded(sharded_dir, mode="lazy")
+        with pytest.raises(PersistenceError, match="lazily loaded.*mode='mmap'"):
+            engine.insert(["lazy-a", "lazy-b"])
 
     def test_remove_raises_persistence_error(self, sharded_dir):
-        with load_sharded(sharded_dir, mode="lazy") as engine:
-            with pytest.raises(PersistenceError, match="read-only|lazily loaded"):
-                engine.remove(0)
+        engine = load_sharded(sharded_dir, mode="lazy")
+        with pytest.raises(PersistenceError, match="read-only|lazily loaded"):
+            engine.remove(0)
 
     def test_refusal_leaves_engine_and_save_untouched(self, sharded_dir):
-        with load_sharded(sharded_dir, mode="lazy") as engine:
-            before = engine.knn(engine.tokens_of(0), 4).matches
-            with pytest.raises(PersistenceError):
-                engine.insert(["lazy-c"])
-            assert engine.knn(engine.tokens_of(0), 4).matches == before
+        engine = load_sharded(sharded_dir, mode="lazy")
+        before = engine.knn(engine.tokens_of(0), 4).matches
+        with pytest.raises(PersistenceError):
+            engine.insert(["lazy-c"])
+        assert engine.knn(engine.tokens_of(0), 4).matches == before
         assert not (sharded_dir / DELTA_LOG).exists()
-        with load_sharded(sharded_dir) as reloaded:
-            assert len(reloaded.removed) == 0
+        assert len(load_sharded(sharded_dir).removed) == 0
 
 
 class TestNeverSavedDegrade:
@@ -188,9 +142,8 @@ class TestNeverSavedDegrade:
         engine = load_sharded(sharded_dir)
         shutil.rmtree(sharded_dir)
         index, _shard, _group = engine.insert(["orphan-c", "orphan-d"])
-        assert engine.source_dir is None
+        assert engine._delta is None  # degraded to never-saved
         assert engine.knn(["orphan-c", "orphan-d"], 1).matches[0][0] == index
-        engine.close()
 
 
 def test_mapped_base_tokens_stay_memmap_backed(engine_dir):

@@ -9,9 +9,9 @@ query bit-identically to:
   already contains every inserted record as base data (no delta at all),
   with the same tombstones applied.
 
-and this must hold across measures × shard placements × parallel
-execution modes × load modes.  The delta is a durability mechanism, not
-an approximation: no branch of the matrix is allowed to drift.
+and this must hold across measures × shard placements × load modes,
+live and replayed.  The delta is a durability mechanism, not an
+approximation: no branch of the matrix is allowed to drift.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import LES3, Dataset
-from repro.core.engine import PARALLEL_MODES
 from repro.core.persistence import _load_engine, save_engine
 from repro.datasets import zipf_dataset
 from repro.distributed.persistence import _load_sharded, save_sharded
@@ -74,19 +73,16 @@ def rebuilt_oracle(token_lists, measure):
     return oracle
 
 
-def assert_matches_oracles(engine, oracle, queries, **query_kwargs):
+def assert_matches_oracles(engine, oracle, queries):
     for query in queries:
         for k in (1, 4, 9):
-            got = engine.knn(query, k, **query_kwargs).matches
+            got = engine.knn(query, k).matches
             assert got == oracle.knn(query, k).matches
-            assert got == engine.knn(query, k, verify="scalar", **query_kwargs).matches
+            assert got == engine.knn(query, k, verify="scalar").matches
         for threshold in (0.0, 0.35, 0.8):
-            got = engine.range(query, threshold, **query_kwargs).matches
+            got = engine.range(query, threshold).matches
             assert got == oracle.range(query, threshold).matches
-            assert (
-                got
-                == engine.range(query, threshold, verify="scalar", **query_kwargs).matches
-            )
+            assert got == engine.range(query, threshold, verify="scalar").matches
 
 
 class TestSingleEngineDeltaOracle:
@@ -146,27 +142,24 @@ class TestShardedDeltaOracle:
         directory = self.saved_sharded(
             token_lists, tmp_path, shards=shards, strategy=strategy
         )
-        with _load_sharded(directory) as engine:
-            mutate(engine)
-            oracle = rebuilt_oracle(token_lists, "jaccard")
-            assert_matches_oracles(engine, oracle, queries_for(engine))
+        engine = _load_sharded(directory)
+        mutate(engine)
+        oracle = rebuilt_oracle(token_lists, "jaccard")
+        assert_matches_oracles(engine, oracle, queries_for(engine))
 
-    @pytest.mark.parametrize("parallel", PARALLEL_MODES)
-    def test_parallel_modes_replay_the_delta(self, token_lists, tmp_path, parallel):
-        """`parallel="process"` workers rehydrate from the `+N` epoch —
-        they must replay exactly the pending ops, not serve the stale base."""
+    @pytest.mark.parametrize("mode", ["memory", "mmap", "lazy"])
+    def test_every_load_mode_replays_the_delta(self, token_lists, tmp_path, mode):
+        """A reload must replay exactly the pending ops, not serve the stale base."""
         directory = self.saved_sharded(token_lists, tmp_path)
-        with _load_sharded(directory) as engine:
-            mutate(engine)
-            oracle = rebuilt_oracle(token_lists, "jaccard")
-            assert_matches_oracles(
-                engine, oracle, queries_for(engine), parallel=parallel
-            )
+        mutate(_load_sharded(directory))
+        engine = _load_sharded(directory, mode=mode)
+        oracle = rebuilt_oracle(token_lists, "jaccard")
+        assert_matches_oracles(engine, oracle, queries_for(engine))
 
     @pytest.mark.parametrize("measure", ["cosine", "containment"])
     def test_measures(self, token_lists, tmp_path, measure):
         directory = self.saved_sharded(token_lists, tmp_path, measure=measure)
-        with _load_sharded(directory, mode="mmap") as engine:
-            mutate(engine)
-            oracle = rebuilt_oracle(token_lists, measure)
-            assert_matches_oracles(engine, oracle, queries_for(engine))
+        engine = _load_sharded(directory, mode="mmap")
+        mutate(engine)
+        oracle = rebuilt_oracle(token_lists, measure)
+        assert_matches_oracles(engine, oracle, queries_for(engine))

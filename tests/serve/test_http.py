@@ -92,8 +92,6 @@ def test_server_is_bit_identical_to_direct_calls(
             ).to_payload()
         finally:
             await server.stop()
-            if hasattr(reference, "close"):
-                reference.close()
 
     asyncio.run(main())
 
@@ -237,6 +235,12 @@ def test_protocol_errors(single_dir):
                 host, port, "POST", "/knn", {"tokens": ["a"], "k": 1, "oops": True}
             )
             assert status == 400 and "oops" in body["error"]
+            # ``parallel`` is a removed field: the ordinary unknown-field error.
+            status, body = await request_json(
+                host, port, "POST", "/knn",
+                {"tokens": ["a"], "k": 1, "parallel": "thread"},
+            )
+            assert status == 400 and "unknown field(s) ['parallel']" in body["error"]
 
             # Raw junk: bad JSON, bad request line, oversized body.
             reader, writer = await asyncio.open_connection(host, port)

@@ -123,14 +123,6 @@ def test_constructor_validates_knobs(engine):
             QueryService(engine, **kwargs)
 
 
-def test_shard_workers_knob_sets_engine_pool_size(engine):
-    # On a single-node engine the attribute simply appears; on a sharded
-    # one it caps the existing query_workers pool — either way the service
-    # records the caller's intent on the engine it owns.
-    QueryService(engine, shard_workers=2)
-    assert engine.query_workers == 2
-
-
 def test_stats_snapshot_shape(engine):
     async def main():
         async with QueryService(engine, batch_window_ms=20.0) as service:

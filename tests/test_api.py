@@ -89,21 +89,19 @@ def test_load_lazy_on_single_engine_is_a_persistence_error(single_dir):
         repro.load(single_dir, mode="lazy")
 
 
-def test_load_parallel_on_single_engine_raises_with_guidance(single_dir):
-    with pytest.raises(ValueError, match="re-shard"):
-        repro.load(single_dir, parallel="process")
-    with pytest.raises(ValueError, match="re-shard"):
-        repro.load(single_dir, parallel="thread")
-    # serial is every engine's native mode — accepted everywhere.
-    assert isinstance(repro.load(single_dir, parallel="serial"), LES3)
-
-
-def test_load_parallel_applies_to_sharded(sharded_dir):
-    loaded = repro.load(sharded_dir, parallel="thread")
-    try:
-        assert loaded.parallel == "thread"
-    finally:
-        loaded.close()
+def test_parallel_is_a_removed_parameter(single_dir, sharded_dir, engine, sharded):
+    """One execution path: no loader, engine method or request takes ``parallel=``."""
+    for directory in (single_dir, sharded_dir):
+        with pytest.raises(TypeError, match="parallel"):
+            repro.load(directory, parallel="thread")
+    query = _tokens(engine.dataset, 0)
+    for loaded in (engine, sharded):
+        with pytest.raises(TypeError, match="parallel"):
+            loaded.knn(query, 3, parallel="thread")
+    with pytest.raises(TypeError, match="parallel"):
+        QueryRequest.range(["a"], threshold=0.5, parallel="serial")
+    with pytest.raises(ValueError, match=r"unknown field\(s\) \['parallel'\]"):
+        QueryRequest.from_payload("knn", {"tokens": ["a"], "k": 3, "parallel": "thread"})
 
 
 def test_load_verify_override(single_dir, sharded_dir):
@@ -111,11 +109,6 @@ def test_load_verify_override(single_dir, sharded_dir):
     assert repro.load(sharded_dir, verify="scalar").verify == "scalar"
     with pytest.raises(ValueError, match="verify"):
         repro.load(single_dir, verify="quantum")
-
-
-def test_load_unknown_parallel_mode(single_dir):
-    with pytest.raises(ValueError, match="parallel"):
-        repro.load(single_dir, parallel="gpu")
 
 
 def test_load_missing_directory(tmp_path):
@@ -183,8 +176,8 @@ def test_join_request_validates_eagerly():
 def test_request_mode_validation():
     with pytest.raises(ValueError, match="verify"):
         QueryRequest.knn(["a"], k=1, verify="quantum")
-    with pytest.raises(ValueError, match="parallel"):
-        QueryRequest.range(["a"], threshold=0.5, parallel="gpu")
+    with pytest.raises(ValueError, match="degraded"):
+        QueryRequest.range(["a"], threshold=0.5, degraded="maybe")
 
 
 def test_requests_are_frozen():
@@ -308,22 +301,10 @@ def test_query_signatures_are_identical_across_engines(name):
 
 
 @pytest.mark.parametrize("name", _QUERY_METHODS)
-def test_query_methods_accept_verify_and_parallel(name):
+def test_query_methods_take_exactly_the_shared_options(name):
     for cls in (LES3, ShardedLES3):
         parameters = inspect.signature(getattr(cls, name)).parameters
-        assert "verify" in parameters, f"{cls.__name__}.{name} lacks verify="
-        assert "parallel" in parameters, f"{cls.__name__}.{name} lacks parallel="
-        assert parameters["verify"].default is None
-        assert parameters["parallel"].default is None
-
-
-def test_single_engine_rejects_unknown_parallel_mode(engine):
-    query = _tokens(engine.dataset, 0)
-    with pytest.raises(ValueError, match="parallel"):
-        engine.knn(query, k=2, parallel="gpu")
-    # Explicit serial (and any known mode) is accepted — execution is
-    # always serial on a single-node engine, so results are identical.
-    assert (
-        engine.knn(query, k=2, parallel="thread").matches
-        == engine.knn(query, k=2).matches
-    )
+        assert list(parameters)[-3:] == ["verify", "deadline", "degraded"], (
+            f"{cls.__name__}.{name} options diverge"
+        )
+        assert all(parameters[option].default is None for option in list(parameters)[-3:])

@@ -251,24 +251,20 @@ class TestShardedLifecycle:
         query = data_file.read_text().splitlines()[0]
         assert main(["knn", str(index_dir), "--query", query, "-k", "4"]) == 0
         single = capsys.readouterr().out
-        for parallel in ("serial", "thread", "process"):
-            args = ["knn", str(sharded_dir), "--query", query, "-k", "4",
-                    "--parallel", parallel]
-            assert main(args) == 0
-            assert capsys.readouterr().out == single
+        assert main(["knn", str(sharded_dir), "--query", query, "-k", "4"]) == 0
+        assert capsys.readouterr().out == single
 
     def test_join_on_sharded_dir(self, index_dir, sharded_dir, capsys):
         assert main(["join", str(index_dir), "--threshold", "0.8"]) == 0
         single = capsys.readouterr().out
-        assert main(["join", str(sharded_dir), "--threshold", "0.8",
-                     "--parallel", "process"]) == 0
+        assert main(["join", str(sharded_dir), "--threshold", "0.8"]) == 0
         assert capsys.readouterr().out == single
 
     def test_bench_on_sharded_dir(self, sharded_dir, capsys):
         assert main(["bench", str(sharded_dir), "--queries", "10", "-k", "3",
-                     "--threshold", "0.6", "--parallel", "process"]) == 0
+                     "--threshold", "0.6"]) == 0
         out = capsys.readouterr().out
-        assert "queries/s" in out and "parallel=process" in out
+        assert "queries/s" in out and "3 shard(s)" in out
 
     def test_validate_sharded(self, sharded_dir, capsys):
         assert main(["validate", str(sharded_dir)]) == 0
@@ -299,26 +295,22 @@ class TestShardedLifecycle:
                      "--shards", "4"]) == 1
         assert "already" in capsys.readouterr().err
 
-    def test_process_mode_needs_sharded_dir(self, index_dir, capsys):
-        assert main(["knn", str(index_dir), "--query", "a", "-k", "1",
-                     "--parallel", "process"]) == 1
-        assert "repro save" in capsys.readouterr().err
-        assert main(["bench", str(index_dir), "--queries", "5",
-                     "--parallel", "process"]) == 1
-        assert "repro save" in capsys.readouterr().err
-
-    def test_thread_mode_needs_shards(self, index_dir, capsys):
-        assert main(["knn", str(index_dir), "--query", "a", "-k", "1",
-                     "--parallel", "thread"]) == 1
-        assert "--shards" in capsys.readouterr().err
-
-    def test_thread_mode_with_reshard(self, index_dir, data_file, capsys):
-        query = data_file.read_text().splitlines()[1]
-        assert main(["knn", str(index_dir), "--query", query, "-k", "3"]) == 0
-        single = capsys.readouterr().out
-        assert main(["knn", str(index_dir), "--query", query, "-k", "3",
-                     "--shards", "2", "--parallel", "thread"]) == 0
-        assert capsys.readouterr().out == single
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["knn", "--query", "a", "-k", "1"],
+            ["range", "--query", "a", "--threshold", "0.5"],
+            ["join", "--threshold", "0.5"],
+            ["bench"],
+            ["serve"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_parallel_flag_is_gone(self, index_dir, command, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main([command[0], str(index_dir), *command[1:], "--parallel", "process"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 class TestParser:
