@@ -220,7 +220,7 @@ async def chaos_suite(
 
 def run_chaos(args, dataset, payloads, num_templates: int) -> int:
     from repro.distributed import ShardedLES3
-    from repro.distributed.persistence import save_sharded
+    from repro.distributed import save_sharded
 
     clients = 8 if args.smoke else 64
     per_client = args.per_client if args.per_client is not None else (

@@ -34,11 +34,10 @@ from repro.core import (
     TokenUniverse,
     get_measure,
     knn_search,
-    load_engine,
     range_search,
     save_engine,
 )
-from repro.distributed import ShardedLES3, load_sharded, save_sharded
+from repro.distributed import ShardedLES3, save_sharded
 
 __version__ = "1.4.0"
 
@@ -64,8 +63,6 @@ __all__ = [
     "knn_search",
     "range_search",
     "save_engine",
-    "load_engine",
     "save_sharded",
-    "load_sharded",
     "__version__",
 ]

@@ -196,8 +196,9 @@ def check_dataset_bin_mutated(context: FileContext) -> Iterator[Finding]:
                 col,
                 "ColumnarFileWriter outside the save/compaction path "
                 "rewrites a generation's binary dataset in place — "
-                "mutations belong in delta.log; only save_engine/"
-                "save_sharded/compact_index may emit a dataset.bin",
+                "mutations belong in delta.log; only the generation "
+                "writer in repro/core/persistence.py (behind save_engine/"
+                "save_sharded) may emit a dataset.bin",
             )
             continue
         if tail not in _DATASET_BIN_WRITERS:

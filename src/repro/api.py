@@ -1,14 +1,10 @@
 """The one-call public query surface: load any index, describe any query.
 
-PRs 1–5 grew two parallel entry points — ``load_engine`` for single-engine
-saves, ``load_sharded`` for sharded ones — and every consumer (the CLI,
-benchmarks, applications) had to sniff the directory kind itself before
-picking the right loader and the right kwargs.  This module collapses that
-into one surface the query service (:mod:`repro.serve`), the CLI, and
+One surface the query service (:mod:`repro.serve`), the CLI, and
 applications all share:
 
-* :func:`load` — open *any* index directory; the save kind is
-  auto-detected and the right engine comes back.
+* :func:`load` — open *any* index directory; the save's layout decides
+  which engine comes back.  It is the only loader.
 * :class:`QueryRequest` / :class:`QueryResult` — engine-independent
   descriptions of one query and its answer, with one canonical kwargs set
   across both engine classes.
@@ -17,9 +13,7 @@ applications all share:
   batched BLAS kernels (the micro-batching primitive ``repro serve``
   is built on).
 
-The legacy loaders remain importable as documented thin wrappers that
-emit :class:`DeprecationWarning` (see ``docs/persistence.md`` for the
-migration note)::
+Both kinds of save come back through the same call::
 
     >>> import repro
     >>> from repro.datasets import zipf_dataset
@@ -28,7 +22,7 @@ migration note)::
     >>> from repro import Dataset, LES3, save_engine
     >>> dataset = Dataset.from_token_lists([["a", "b"], ["b", "c"], ["x", "y"]])
     >>> save_engine(LES3.build(dataset, num_groups=2), path)
-    >>> engine = repro.load(path)          # auto-detects the save kind
+    >>> engine = repro.load(path)          # a flat save: an LES3
     >>> engine.knn(["a", "b"], k=1).matches
     [(0, 1.0)]
 """
@@ -37,12 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Sequence, Union
+from typing import Callable, Hashable, Sequence, Union
 
+from repro.core.columnar import VERIFY_MODES
+from repro.core.delta import DeltaSegment
 from repro.core.engine import DEGRADED_MODES, LES3, as_query_record
 from repro.core.metrics import QueryStats
+from repro.core.persistence import read_generation
 from repro.core.resilience import Deadline
-from repro.distributed.sharded import ShardedLES3
+from repro.core.similarity import get_measure
+from repro.core.tgm import TokenGroupMatrix
+from repro.distributed.sharded import LazyShardTGMs, ShardedLES3, _build_concurrently
 
 __all__ = [
     "load",
@@ -74,44 +73,56 @@ def load(
     mode: str = "memory",
     verify: str | None = None,
     workers: int | None = None,
-    max_resident_shards: int | None = None,
+    max_resident_shards: int = 4,
 ) -> Engine:
-    """Load *any* saved index: the save kind is auto-detected.
+    """Load *any* saved index — the only loader.
 
-    The one entry point over :func:`repro.core.persistence.load_engine`
-    (single-engine saves, from ``repro build`` / ``save_engine``) and
-    :func:`repro.distributed.persistence.load_sharded` (sharded saves,
-    from ``repro save`` / ``save_sharded``): the directory's manifest
-    decides which engine comes back, and every option below means the
-    same thing for both kinds.
+    :func:`repro.core.persistence.read_generation` reads the directory
+    (flat layout from ``repro build`` / ``save_engine``, sharded layout
+    from ``repro save`` / ``save_sharded``), verifies it and replays its
+    ``delta.log``; the layout decides which engine is built from that,
+    and every option below means the same thing for both kinds.  The
+    engine comes back attached to the generation's write-ahead log, so
+    later inserts/removes are durable there.
 
     Parameters
     ----------
     directory : str or Path
         An index directory written by ``save_engine`` or ``save_sharded``.
     mode : {"memory", "mmap", "lazy"}, default ``"memory"``
-        Dataset load path: parse ``dataset.txt`` into RAM, map the binary
-        ``dataset.bin``, or (sharded saves only) additionally build shard
-        indexes on demand.  Results are identical in every mode.
+        How the dataset and the indexes come up:
+
+        * ``"memory"`` — parse ``dataset.txt`` into Python records.
+        * ``"mmap"`` — map the binary columnar ``dataset.bin`` with
+          ``np.memmap``: queries read only the pages they touch and no
+          record objects are materialized; TGMs are still built eagerly,
+          from vectorized CSR gathers.
+        * ``"lazy"`` (sharded saves only) — mapped dataset *and*
+          on-demand shard TGMs: a shard's index is built on its first
+          visit and at most ``max_resident_shards`` stay resident (LRU).
+          Lazy engines are read-only (``insert``/``remove`` raise).
+
+        Results are bit-identical in every mode.
     verify : {"columnar", "scalar"}, optional
         Override the persisted default verification path.
     workers : int, optional
         Threads for the concurrent shard-TGM rebuilds (sharded saves,
         eager modes only).
-    max_resident_shards : int, optional
-        LRU capacity for ``mode="lazy"`` (sharded saves only).
+    max_resident_shards : int, default 4
+        LRU capacity for ``mode="lazy"``.
 
     Returns
     -------
     LES3 or ShardedLES3
         A rebuilt engine answering queries bit-identically to the one
-        that was saved.
+        that was saved — deletes and logged writes included.
 
     Raises
     ------
     PersistenceError
-        On any integrity failure, or when an option only a sharded save
-        supports (``mode="lazy"``) is asked of a single-engine save.
+        On any integrity failure (see
+        :func:`~repro.core.persistence.read_generation`), or when
+        ``mode="lazy"`` is asked of a single-engine save.
     FileNotFoundError
         If the directory (or its manifest) does not exist.
 
@@ -123,34 +134,48 @@ def load(
     >>> dataset = Dataset.from_token_lists([["a", "b"], ["b", "c"], ["x", "y"]])
     >>> path = os.path.join(tempfile.mkdtemp(), "sharded-index")
     >>> save_sharded(ShardedLES3.build(dataset, num_shards=2, num_groups=2), path)
+    >>> repro.load(path).knn(["a", "b"], k=1).matches
+    [(0, 1.0)]
     >>> engine = repro.load(path, mode="lazy")
     >>> type(engine).__name__, engine.knn(["a", "b"], k=1).matches
     ('ShardedLES3', [(0, 1.0)])
     """
-    from repro.core.persistence import PersistenceError, _load_engine
-    from repro.distributed.persistence import _load_sharded, is_sharded_index
+    generation = read_generation(directory, mode)
+    dataset = generation.dataset
+    measure = get_measure(generation.measure)
 
-    directory = Path(directory)
-    if is_sharded_index(directory):
-        engine: Engine = _load_sharded(
-            directory,
-            workers=workers,
-            mode=mode,
-            max_resident_shards=max_resident_shards,
-        )
+    def shard_builder(
+        groups: list[list[int]], backend: str
+    ) -> Callable[[], TokenGroupMatrix]:
+        # Closes over the *replayed* groups, so an evicted lazy shard
+        # rebuilds to the same folded state.
+        return lambda: TokenGroupMatrix(dataset, groups, measure, backend)
+
+    builders = [shard_builder(groups, backend) for groups, backend, _ in generation.shards]
+    engine: Engine
+    if generation.placement is None:
+        engine = LES3(dataset, builders[0](), verify=generation.verify)
+        engine.removed = generation.shards[0][2]
     else:
         if mode == "lazy":
-            raise PersistenceError(
-                f"{directory} holds a single-engine save, and mode='lazy' builds "
-                "*shard* indexes on demand, which needs a sharded index directory; "
-                "load with mode='mmap' here, or create a sharded save with "
-                "ShardedLES3.from_engine + save_sharded (CLI: `repro save <index> "
-                "<out> --shards S`)"
+            engine = ShardedLES3(
+                dataset, LazyShardTGMs(builders, max_resident_shards), measure,
+                verify=generation.verify,
+                shard_groups=[groups for groups, _, _ in generation.shards],
             )
-        engine = _load_engine(directory, mode=mode)
+        else:
+            engine = ShardedLES3(
+                dataset, _build_concurrently(builders, workers), measure,
+                verify=generation.verify,
+            )
+        engine.removed = {
+            record_index: shard_id
+            for shard_id, (_, _, deleted) in enumerate(generation.shards)
+            for record_index in deleted
+        }
+        engine.placement = generation.placement
+    engine._delta = DeltaSegment(directory, num_ops=generation.num_ops)
     if verify is not None:
-        from repro.core.columnar import VERIFY_MODES
-
         if verify not in VERIFY_MODES:
             raise ValueError(
                 f"unknown verify mode {verify!r}; expected one of {VERIFY_MODES}"
@@ -259,8 +284,6 @@ class QueryRequest:
         return request
 
     def _check_modes(self) -> None:
-        from repro.core.columnar import VERIFY_MODES
-
         if self.verify is not None and self.verify not in VERIFY_MODES:
             raise ValueError(
                 f"unknown verify mode {self.verify!r}; expected one of {VERIFY_MODES}"

@@ -39,11 +39,10 @@ import time
 from repro.api import QueryRequest, execute, load
 from repro.core.dataset import Dataset
 from repro.core.engine import LES3
-from repro.core.persistence import PersistenceError, save_engine
+from repro.core.persistence import PersistenceError, is_sharded_index, save_engine, verify_dataset_files
 from repro.core.resilience import DeadlineExceeded
 from repro.core.validation import validate_tgm
 from repro.distributed import ShardedLES3, save_sharded
-from repro.distributed.persistence import is_sharded_index
 
 __all__ = ["main", "build_parser"]
 
@@ -621,41 +620,10 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _check_dataset_bin(index_dir: str) -> None:
-    """Full-integrity pass over ``dataset.bin``, when the save carries one.
-
-    Loading deliberately skips the binary payload digests (an mmap load
-    must not read every page); ``repro validate`` is where they are all
-    checked — the manifest's whole-file digest first, then every
-    per-segment digest inside the header.
-    """
-    from pathlib import Path
-
-    from repro.core.persistence import DATASET_BIN, file_digest, read_index_json
-
-    manifest = read_index_json(Path(index_dir) / "manifest.json", "index manifest")
-    recorded = manifest.get("dataset_bin_digest") if isinstance(manifest, dict) else None
-    path = Path(index_dir) / DATASET_BIN
-    if not path.is_file():
-        if recorded is not None:
-            raise PersistenceError(
-                f"manifest records a {DATASET_BIN} digest but the file is missing"
-            )
-        return  # pre-v3 save: no binary dataset to check
-    if recorded is not None and file_digest(path) != recorded:
-        raise PersistenceError(
-            f"{DATASET_BIN} digest mismatch against the manifest — corrupt or "
-            "mixed-save index directory"
-        )
-    from repro.storage.columnar_file import ColumnarFileReader
-
-    ColumnarFileReader(path, mode="mmap").verify()
-
-
 def _cmd_validate(args) -> int:
     try:
         engine = load(args.index)
-        _check_dataset_bin(args.index)
+        verify_dataset_files(args.index)
     except (ValueError, FileNotFoundError) as error:
         print(f"index CORRUPT: {error}")
         return 2

@@ -17,7 +17,7 @@ from repro.core.metrics import (
     knn_pruning_efficiency,
     range_pruning_efficiency,
 )
-from repro.core.persistence import PersistenceError, load_engine, save_engine
+from repro.core.persistence import PersistenceError, save_engine
 from repro.core.search import SearchResult, knn_search, range_search
 from repro.core.sets import SetRecord, distinct_overlap, overlap
 from repro.core.similarity import (
@@ -55,7 +55,6 @@ __all__ = [
     "knn_pruning_efficiency",
     "range_pruning_efficiency",
     "PersistenceError",
-    "load_engine",
     "save_engine",
     "SearchResult",
     "knn_search",

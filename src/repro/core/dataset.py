@@ -21,7 +21,22 @@ if TYPE_CHECKING:
     from repro.core.columnar import ColumnarView
     from repro.storage.columnar_file import ColumnarFileReader
 
-__all__ = ["Dataset", "DatasetStats"]
+__all__ = ["Dataset", "DatasetStats", "is_text_token"]
+
+
+def is_text_token(token: Hashable) -> bool:
+    """Whether the one-set-per-line text format can carry ``token``.
+
+    A line is its tokens' ``str`` forms joined by spaces and
+    :meth:`Dataset.load` splits it on whitespace again, so a token whose
+    string is empty or holds whitespace would come back as zero or
+    several tokens — while ``dataset.bin`` stores it whole, making one
+    saved index answer differently per load mode.  Stored tokens must
+    satisfy this (inserts and the text writer enforce it); query tokens
+    need not — an unknown token just matches nothing.
+    """
+    text = str(token)
+    return text.split() == [text]
 
 
 @dataclass(frozen=True)
@@ -134,7 +149,7 @@ class Dataset:
         ``records`` is a lazy sequence that materializes a
         :class:`~repro.core.sets.SetRecord` only when one is indexed —
         the columnar query paths never do, which is what makes
-        ``load_engine(..., mode="mmap")`` answer without pulling the
+        ``repro.load(..., mode="mmap")`` answer without pulling the
         dataset into RAM.
 
         Examples
@@ -163,11 +178,28 @@ class Dataset:
         return dataset
 
     def save(self, path: str | Path) -> None:
-        """Write the dataset in the one-set-per-line token format."""
+        """Write the dataset in the one-set-per-line token format.
+
+        Raises :class:`ValueError`, before anything is written, when a
+        record holds a token the format cannot carry
+        (:func:`is_text_token`).
+        """
+        strings = [str(token) for token in self.universe]
+        unwritable = {
+            token_id for token_id, text in enumerate(strings) if not is_text_token(text)
+        }
+        if unwritable:
+            for index, record in enumerate(self.records):
+                bad = unwritable.intersection(record.tokens)
+                if bad:
+                    raise ValueError(
+                        f"record {index} holds the token {strings[min(bad)]!r}, which "
+                        "the one-set-per-line text format cannot carry (empty or "
+                        "containing whitespace) — it would parse back as different tokens"
+                    )
         with open(path, "w") as handle:
             for record in self.records:
-                line = " ".join(str(self.universe.token_of(t)) for t in record.tokens)
-                handle.write(line + "\n")
+                handle.write(" ".join([strings[t] for t in record.tokens]) + "\n")
 
     # -- collection protocol ----------------------------------------------
 

@@ -67,7 +67,7 @@ _OPS = ("insert", "remove")
 
 
 def _persistence_error(message: str) -> Exception:
-    # Imported lazily: repro.core.persistence imports this module's users.
+    # Imported lazily: repro.core.persistence imports this module.
     from repro.core.persistence import PersistenceError
 
     return PersistenceError(message)

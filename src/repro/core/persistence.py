@@ -1,13 +1,14 @@
-"""Saving and loading a built LES3 engine.
+"""Saving and loading a built index — the one module that knows the format.
 
 Partitioning (model training) is the expensive build step; persisting the
-result makes the index reusable across processes.  The on-disk layout is a
-directory of small files — no pickling:
+result makes the index reusable across processes.  A saved index is a
+*generation directory* of small files — no pickling — in one of two
+layouts that share every file format:
 
-    <dir>/
+    <dir>/                       # flat layout: one LES3
       manifest.json    # measure, backend, universe size, format version,
                        # verify mode, logically deleted record indices,
-                       # generation epoch (v4)
+                       # dataset digests, generation epoch (v4)
       dataset.txt      # one set per line (external tokens) — interchange form
       dataset.bin      # binary columnar dataset (CSR arrays + universe),
                        # the np.memmap target of mode="mmap" loads
@@ -16,27 +17,36 @@ directory of small files — no pickling:
                        # a freshly saved/compacted generation) — see
                        # repro.core.delta
 
+    <dir>/                       # sharded layout: one ShardedLES3
+      manifest.json    # sharded manifest v1: placement policy, shard
+                       # count, measure, verify, dataset digests,
+                       # per-shard digests, epoch
+      dataset.txt, dataset.bin, delta.log    # as above, stored once
+      shard-NNNN/      # one per shard
+        manifest.json  # the flat layout's manifest (that shard's deleted
+                       # tombstones, the engine's verify) minus the digests
+        groups.json    # the shard's groups, *global* record indices
+
 The TGM is rebuilt from the groups at load time (cheaper than
-serialising bitmaps, and immune to backend format drift).
-:func:`load_engine` reads the dataset either way: ``mode="memory"``
-parses the text file into records, ``mode="mmap"`` maps the binary
-columnar file (:mod:`repro.storage.columnar_file`) so queries run
-without materializing records at all.
+serialising bitmaps, and immune to backend format drift), so this module
+deals in plain data: :func:`read_generation` is the only reader of a
+generation directory — :func:`repro.load` builds the engine from what it
+returns — and :func:`save_engine` / :func:`save_sharded` gather their
+engine's state for the only writer.  ``mode="memory"`` parses the text
+file into records; ``mode="mmap"``/``"lazy"`` map the binary columnar
+file (:mod:`repro.storage.columnar_file`) so queries run without
+materializing records at all.
 
 Deletes are logical: a removed record keeps its line in ``dataset.txt``
-(indices are stable) but belongs to no group.  Format v2 records those
-indices in the manifest's ``deleted`` list so the load-time coverage
-check can tell an intentional tombstone from a corrupt ``groups.json``;
-v1 directories (written before deletes were persistable) are still read,
-with an empty deleted set.
-
-The building blocks — :func:`write_index_files`, :func:`read_index_json`,
-:func:`parse_manifest_state`, :func:`read_groups` — are shared with the
-sharded lifecycle (:mod:`repro.distributed.persistence`): each shard
-subdirectory of a sharded save carries the same v2 ``manifest.json`` +
-``groups.json`` pair, so the v2 invariants (``deleted``, ``verify``)
-carry over unchanged.  See ``docs/persistence.md`` for the full on-disk
-format reference.
+(indices are stable) but belongs to no group.  The manifest's ``deleted``
+list lets the load-time coverage check tell an intentional tombstone
+from a corrupt ``groups.json``: groups plus tombstones must cover the
+dataset exactly once (jointly over all shards).  The sharded manifest
+also records a SHA-256 digest of every shard's files, so a truncated or
+tampered shard fails loudly.  Directories written by format v1–v3 stay
+readable; :func:`read_manifest` is the one place that knows what they
+lack.  See ``docs/persistence.md`` for the full on-disk format
+reference.
 
 Every integrity failure raises :class:`PersistenceError` (a
 :class:`ValueError` subclass), never a wrong-answer engine.
@@ -48,78 +58,57 @@ import hashlib
 import json
 import os
 import shutil
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from repro.core.columnar import VERIFY_MODES
 from repro.core.dataset import Dataset
+from repro.core.delta import DeltaSegment, apply_group_ops, apply_insert_op, read_delta_ops
 from repro.core.engine import LES3
-from repro.core.similarity import get_measure
-from repro.core.tgm import TokenGroupMatrix
 from repro.testing.faults import fault_point
+
+if TYPE_CHECKING:
+    from repro.distributed.sharded import ShardedLES3
 
 __all__ = [
     "PersistenceError",
     "atomic_directory",
     "recover_interrupted_swap",
-    "manifest_epoch",
     "save_engine",
-    "load_engine",
-    "engine_manifest",
-    "write_index_files",
-    "write_dataset_files",
-    "open_mapped_dataset",
-    "read_index_json",
-    "parse_manifest_state",
-    "read_groups",
+    "save_sharded",
+    "read_generation",
+    "Generation",
+    "is_sharded_index",
+    "has_binary_dataset",
+    "verify_dataset_files",
+    "manifest_epoch",
     "file_digest",
-    "check_dataset_digest",
-    "SHARDED_MANIFEST_KEY",
+    "shard_dir_name",
     "DATASET_BIN",
     "LOAD_MODES",
 ]
 
 _FORMAT_VERSION = 4
 _SUPPORTED_VERSIONS = (1, 2, 3, 4)
+SHARDED_FORMAT_VERSION = 1
 
 #: File name of the binary columnar dataset written next to ``dataset.txt``
-#: by every v3 save (single-engine and sharded alike).
+#: by every save since format v3 (both layouts).
 DATASET_BIN = "dataset.bin"
 
-#: Load modes of :func:`load_engine` (``load_sharded`` adds ``"lazy"``).
-LOAD_MODES = ("memory", "mmap")
+#: Load modes of :func:`repro.load`; ``"lazy"`` (mapped dataset *and*
+#: on-demand shard TGMs) needs the sharded layout.
+LOAD_MODES = ("memory", "mmap", "lazy")
 
-#: Manifest key that marks a directory as a *sharded* save.  The single
-#: format discriminator shared by :func:`read_index_manifest`, the
-#: sharded loader, and the CLI's auto-detection
-#: (:func:`repro.distributed.persistence.is_sharded_index`).
+#: Manifest key that marks a directory as a *sharded* save — the single
+#: layout discriminator.
 SHARDED_MANIFEST_KEY = "sharded_format_version"
 
 
 def file_digest(path: str | Path) -> str:
     """``sha256:<hex>`` over a file's bytes (the manifest digest format)."""
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def check_dataset_digest(manifest: dict, directory: Path) -> None:
-    """Verify ``dataset.txt`` against the manifest's recorded digest.
-
-    Manifests written before the digest existed (single-engine saves up
-    to v2-without-digest) simply skip the check; when the field is
-    present, a mismatch — tampering, or a re-save that crashed between
-    the dataset write and the manifest write — refuses to load.
-    """
-    recorded = manifest.get("dataset_digest")
-    if recorded is None:
-        return
-    actual = file_digest(directory / "dataset.txt")
-    if recorded != actual:
-        raise PersistenceError(
-            f"dataset.txt digest mismatch (manifest {recorded!r}, file "
-            f"{actual!r}) — index directory is corrupt or mid-rewrite"
-        )
 
 
 class PersistenceError(ValueError):
@@ -249,7 +238,7 @@ def recover_interrupted_swap(target: str | Path) -> bool:
     return True
 
 
-# -- shared low-level pieces (also used by the sharded lifecycle) ----------
+# -- format primitives, shared by both layouts ------------------------------
 
 
 def manifest_epoch(manifest: dict) -> str:
@@ -266,63 +255,25 @@ def manifest_epoch(manifest: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def engine_manifest(
-    measure: str,
-    backend: str,
-    num_records: int,
-    universe_size: int,
-    verify: str,
-    deleted: list[int],
-) -> dict:
-    """The single-engine (and per-shard) manifest dictionary (format v4)."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "measure": measure,
-        "backend": backend,
-        "num_records": num_records,
-        "universe_size": universe_size,
-        "verify": verify,
-        "deleted": deleted,
-    }
-
-
-def write_index_files(directory: str | Path, groups: list[list[int]], manifest: dict) -> None:
+def write_index_files(directory: Path, groups: list[list[int]], manifest: dict) -> None:
     """Write ``groups.json`` + ``manifest.json`` into ``directory``.
 
-    Creates the directory if missing.  This is the writer shared by
-    :func:`save_engine` (which adds ``dataset.txt``) and the per-shard
-    subdirectories of :func:`repro.distributed.persistence.save_sharded`
-    (which store the dataset once at the top level instead).  A v4
-    manifest that doesn't carry its ``epoch`` key yet gets it stamped
-    here, once every content field is final.
+    Creates the directory if missing: the generation directory itself
+    in the flat layout, one ``shard-NNNN`` subdirectory per shard in the
+    sharded one.  The manifest's ``epoch`` is stamped here, once every
+    content field is final.
     """
-    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if manifest.get("format_version", 0) >= 4 and "epoch" not in manifest:
-        manifest["epoch"] = manifest_epoch(manifest)
+    manifest["epoch"] = manifest_epoch(manifest)
     with open(directory / "groups.json", "w") as handle:
         json.dump(groups, handle)
     with open(directory / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2)
 
 
-def write_dataset_files(dataset: Dataset, directory: Path) -> dict:
-    """Write ``dataset.txt`` + ``dataset.bin``; return their digest fields.
-
-    The text file remains the interchange format; the binary columnar
-    file (:class:`~repro.storage.columnar_file.ColumnarFileWriter`) is
-    what the ``mode="mmap"`` / ``mode="lazy"`` load paths map.  Returns
-    ``{"dataset_digest": ..., "dataset_bin_digest": ...}`` for the
-    manifest.
-    """
-    from repro.storage.columnar_file import ColumnarFileWriter
-
-    dataset.save(directory / "dataset.txt")
-    ColumnarFileWriter(directory / DATASET_BIN).write(dataset)
-    return {
-        "dataset_digest": file_digest(directory / "dataset.txt"),
-        "dataset_bin_digest": file_digest(directory / DATASET_BIN),
-    }
+def has_binary_dataset(directory: str | Path) -> bool:
+    """False for generations written before format v3 (text dataset only)."""
+    return (Path(directory) / DATASET_BIN).is_file()
 
 
 def open_mapped_dataset(directory: Path, manifest: dict) -> Dataset:
@@ -335,13 +286,12 @@ def open_mapped_dataset(directory: Path, manifest: dict) -> Dataset:
     """
     from repro.storage.columnar_file import ColumnarFileReader
 
-    path = directory / DATASET_BIN
-    if not path.is_file():
+    if not has_binary_dataset(directory):
         raise PersistenceError(
             f"{directory} has no {DATASET_BIN} — it was saved before format v3; "
             "load it with mode='memory' (or re-save it to add the binary dataset)"
         )
-    reader = ColumnarFileReader(path, mode="mmap")
+    reader = ColumnarFileReader(directory / DATASET_BIN, mode="mmap")
     for field, actual in (
         ("num_records", reader.num_records),
         ("universe_size", reader.universe_size),
@@ -354,7 +304,7 @@ def open_mapped_dataset(directory: Path, manifest: dict) -> Dataset:
     return Dataset.from_columnar_file(reader)
 
 
-def read_index_json(path: str | Path, description: str) -> Any:
+def read_index_json(path: Path, description: str) -> Any:
     """Parse one JSON file of an index directory.
 
     A missing file propagates :class:`FileNotFoundError` (the caller
@@ -362,7 +312,6 @@ def read_index_json(path: str | Path, description: str) -> Any:
     truncated or otherwise non-JSON file raises :class:`PersistenceError`
     naming the file.
     """
-    path = Path(path)
     try:
         with open(path) as handle:
             return json.load(handle)
@@ -373,14 +322,30 @@ def read_index_json(path: str | Path, description: str) -> Any:
         ) from error
 
 
-def parse_manifest_state(manifest: dict, num_records: int) -> tuple[set[int], str]:
-    """Validate and extract the v2 state fields: ``(deleted, verify)``.
+def read_manifest(directory: Path, description: str) -> dict:
+    """Read ``manifest.json``, normalised to the current (v4) field set.
 
-    Applies the v1 defaults (nothing deleted, columnar verification) when
-    the fields are absent; raises :class:`PersistenceError` when they are
-    present but malformed.
+    The one place that knows what older saves lack: v1 had no delete log
+    and no verify mode (nothing deleted, columnar verification), and
+    saves from before the digests existed carry neither — ``None`` there
+    means "nothing recorded to compare" (for ``dataset_bin_digest``: no
+    binary dataset was written, see :func:`has_binary_dataset`).
     """
-    deleted_raw = manifest.get("deleted", [])
+    manifest = read_index_json(directory / "manifest.json", description)
+    if not isinstance(manifest, dict):
+        raise PersistenceError(f"{description} in {directory} must be a JSON object")
+    return {
+        "deleted": [],
+        "verify": "columnar",
+        "dataset_digest": None,
+        "dataset_bin_digest": None,
+        **manifest,
+    }
+
+
+def parse_manifest_state(manifest: dict, num_records: int) -> tuple[set[int], str]:
+    """Validate and extract a normalised manifest's ``(deleted, verify)``."""
+    deleted_raw = manifest["deleted"]
     if not isinstance(deleted_raw, list) or not all(
         isinstance(index, int) and not isinstance(index, bool)
         and 0 <= index < num_records
@@ -389,7 +354,7 @@ def parse_manifest_state(manifest: dict, num_records: int) -> tuple[set[int], st
         raise PersistenceError(
             "manifest 'deleted' must list record indices inside the dataset"
         )
-    verify = manifest.get("verify", "columnar")
+    verify = manifest["verify"]
     if verify not in VERIFY_MODES:
         raise PersistenceError(
             f"manifest 'verify' must be one of {VERIFY_MODES}, got {verify!r}"
@@ -397,9 +362,9 @@ def parse_manifest_state(manifest: dict, num_records: int) -> tuple[set[int], st
     return set(deleted_raw), verify
 
 
-def read_groups(directory: str | Path) -> list[list[int]]:
+def read_groups(directory: Path) -> list[list[int]]:
     """Read and shape-check ``groups.json`` (content checks are separate)."""
-    groups = read_index_json(Path(directory) / "groups.json", "groups file")
+    groups = read_index_json(directory / "groups.json", "groups file")
     if not isinstance(groups, list) or not all(
         isinstance(group, list)
         and all(isinstance(index, int) and not isinstance(index, bool) for index in group)
@@ -424,58 +389,361 @@ def check_exact_cover(
         )
 
 
-def read_index_manifest(directory: str | Path) -> dict:
-    """Read a *single-engine* manifest, rejecting foreign formats clearly."""
-    manifest = read_index_json(Path(directory) / "manifest.json", "index manifest")
-    if not isinstance(manifest, dict):
-        raise PersistenceError(f"index manifest in {directory} must be a JSON object")
-    if SHARDED_MANIFEST_KEY in manifest:
+def is_sharded_index(directory: str | Path) -> bool:
+    """True when ``directory`` holds the *sharded* layout (vs the flat one).
+
+    Missing, unreadable or non-JSON manifests answer False — this is a
+    cheap router for callers that must decide *before* paying a load;
+    :func:`read_generation` does the integrity checking.
+    """
+    try:
+        return SHARDED_MANIFEST_KEY in read_manifest(Path(directory), "index manifest")
+    except (OSError, PersistenceError):
+        return False
+
+
+def shard_dir_name(shard_id: int) -> str:
+    """Canonical subdirectory name of shard ``shard_id`` (``shard-0042``)."""
+    return f"shard-{shard_id:04d}"
+
+
+def _shard_digest(shard_dir: Path) -> str:
+    """SHA-256 over the shard's files, in fixed order."""
+    digest = hashlib.sha256()
+    for name in ("manifest.json", "groups.json"):
+        try:
+            digest.update((shard_dir / name).read_bytes())
+        except FileNotFoundError as error:
+            raise PersistenceError(
+                f"shard directory {shard_dir} is missing {name}"
+            ) from error
+    return "sha256:" + digest.hexdigest()
+
+
+# -- the one reader --------------------------------------------------------
+
+
+def _shard_entries(manifest: dict, directory: Path) -> list[Path]:
+    """The digest-verified shard subdirectories a sharded manifest lists."""
+    num_shards = manifest.get("num_shards")
+    entries = manifest.get("shards")
+    if not isinstance(num_shards, int) or num_shards < 1:
         raise PersistenceError(
-            f"{directory} holds a sharded index; load it with "
-            "repro.distributed.load_sharded (or `repro` commands, which "
-            "auto-detect it)"
+            f"sharded manifest 'num_shards' must be a positive integer, got {num_shards!r}"
         )
-    if manifest.get("format_version") not in _SUPPORTED_VERSIONS:
+    if not isinstance(entries, list):
+        raise PersistenceError("sharded manifest 'shards' must be a list")
+    if len(entries) != num_shards:
         raise PersistenceError(
-            f"unsupported index format version {manifest.get('format_version')!r}"
+            f"shard count mismatch: manifest declares {num_shards} shard(s) "
+            f"but lists {len(entries)} shard entr{'y' if len(entries) == 1 else 'ies'}"
+        )
+    shard_dirs = []
+    for shard_id, entry in enumerate(entries):
+        expected_name = shard_dir_name(shard_id)
+        if not isinstance(entry, dict) or entry.get("directory") != expected_name:
+            raise PersistenceError(
+                f"shard entry {shard_id} must reference subdirectory "
+                f"{expected_name!r}, got {entry!r}"
+            )
+        shard_dir = directory / expected_name
+        if not shard_dir.is_dir():
+            raise PersistenceError(
+                f"missing shard subdirectory {expected_name!r} in {directory}"
+            )
+        digest = entry.get("digest")
+        actual = _shard_digest(shard_dir)
+        if digest != actual:
+            raise PersistenceError(
+                f"shard {expected_name!r} digest mismatch (manifest {digest!r}, "
+                f"files {actual!r}) — truncated write or tampering; refusing to load"
+            )
+        shard_dirs.append(shard_dir)
+    return shard_dirs
+
+
+def _read_shard_manifest(shard_dir: Path, top: dict, num_records: int) -> dict:
+    """One shard's manifest, cross-checked against the top-level one."""
+    manifest = read_manifest(shard_dir, "shard manifest")
+    if manifest.get("format_version") not in (2, 3, 4):
+        raise PersistenceError(
+            f"shard manifest in {shard_dir} has unsupported format version "
+            f"{manifest.get('format_version')!r} (sharded saves write v2/v3/v4)"
+        )
+    if manifest.get("measure") != top.get("measure"):
+        raise PersistenceError(
+            f"shard manifest in {shard_dir} is for measure "
+            f"{manifest.get('measure')!r}, top-level manifest says {top.get('measure')!r}"
+        )
+    if manifest.get("num_records") != num_records:
+        raise PersistenceError(
+            f"shard manifest in {shard_dir} says {manifest.get('num_records')!r} "
+            f"records, dataset holds {num_records}"
         )
     return manifest
 
 
-# -- the public single-engine API ------------------------------------------
+class Generation(NamedTuple):
+    """What a generation directory holds, as plain data (delta log replayed)."""
+
+    dataset: Dataset
+    measure: str
+    verify: str
+    #: The sharded layout's placement policy; ``None`` marks the flat
+    #: layout (whose single engine is the one entry of ``shards``).
+    placement: str | None
+    #: Per shard: ``(groups, TGM backend, deleted record indices)``.
+    shards: list[tuple[list[list[int]], str, set[int]]]
+    #: Committed ``delta.log`` ops, already folded into the fields above.
+    num_ops: int
+
+
+def read_generation(directory: str | Path, mode: str = "memory") -> Generation:
+    """Read a generation directory of either layout — the only reader.
+
+    Heals an interrupted swap, verifies every digest and invariant the
+    format records, opens the dataset the way ``mode`` asks (``"memory"``
+    parses ``dataset.txt``; ``"mmap"``/``"lazy"`` map ``dataset.bin`` and
+    never read the text file), and replays the write-ahead ``delta.log``
+    over the immutable base: inserts re-append their records
+    (index-checked against the log), removes become tombstones, and the
+    group lists absorb both — so whatever is built from the result,
+    eagerly or lazily, answers bit-identically to an engine rebuilt from
+    the folded state.
+
+    Raises :class:`PersistenceError` on any integrity failure (also: a
+    mapped mode asked of a pre-v3 save, ``mode="lazy"`` asked of the flat
+    layout) and :class:`FileNotFoundError` when the directory or its
+    top-level manifest/dataset is absent.
+    """
+    if mode not in LOAD_MODES:
+        raise ValueError(f"unknown load mode {mode!r}; expected one of {LOAD_MODES}")
+    directory = Path(directory)
+    recover_interrupted_swap(directory)
+    top = read_manifest(directory, "index manifest")
+    sharded = SHARDED_MANIFEST_KEY in top
+    if sharded:
+        if top[SHARDED_MANIFEST_KEY] != SHARDED_FORMAT_VERSION:
+            raise PersistenceError(
+                "unsupported sharded index format version "
+                f"{top[SHARDED_MANIFEST_KEY]!r}"
+            )
+        shard_dirs = _shard_entries(top, directory)
+    else:
+        if mode == "lazy":
+            raise PersistenceError(
+                f"{directory} holds a single-engine save, and mode='lazy' builds "
+                "*shard* indexes on demand, which needs a sharded index directory; "
+                "load with mode='mmap' here, or create a sharded save with "
+                "ShardedLES3.from_engine + save_sharded (CLI: `repro save <index> "
+                "<out> --shards S`)"
+            )
+        if top.get("format_version") not in _SUPPORTED_VERSIONS:
+            raise PersistenceError(
+                f"unsupported index format version {top.get('format_version')!r}"
+            )
+        shard_dirs = [directory]
+    if mode != "memory":
+        dataset = open_mapped_dataset(directory, top)
+    else:
+        # A mismatch means tampering, or a re-save that crashed between the
+        # dataset write and the manifest write.
+        recorded = top["dataset_digest"]
+        if recorded is not None and recorded != (actual := file_digest(directory / "dataset.txt")):
+            raise PersistenceError(
+                f"dataset.txt digest mismatch (manifest {recorded!r}, file "
+                f"{actual!r}) — index directory is corrupt or mid-rewrite"
+            )
+        dataset = Dataset.load(directory / "dataset.txt")
+    if len(dataset) != top.get("num_records"):
+        raise PersistenceError(
+            f"dataset.txt holds {len(dataset)} records, "
+            f"{'sharded manifest' if sharded else 'manifest'} says "
+            f"{top.get('num_records')!r} — index directory is corrupt"
+        )
+    if sharded and top["verify"] not in VERIFY_MODES:
+        raise PersistenceError(
+            f"sharded manifest 'verify' must be one of {VERIFY_MODES}, "
+            f"got {top['verify']!r}"
+        )
+    shards: list[tuple[list[list[int]], str, set[int]]] = []
+    tombstoned: set[int] = set()
+    for shard_dir in shard_dirs:
+        manifest = _read_shard_manifest(shard_dir, top, len(dataset)) if sharded else top
+        deleted, verify = parse_manifest_state(manifest, len(dataset))
+        groups = read_groups(shard_dir)
+        if verify != top["verify"]:
+            raise PersistenceError(
+                f"shard manifest in {shard_dir} has verify {verify!r}, "
+                f"top-level manifest says {top['verify']!r}"
+            )
+        if deleted & tombstoned:
+            raise PersistenceError(
+                f"record {min(deleted & tombstoned)} is tombstoned by more than one shard"
+            )
+        tombstoned |= deleted
+        shards.append((groups, manifest["backend"], deleted))
+    check_exact_cover(
+        [group for groups, _, _ in shards for group in groups],
+        tombstoned,
+        len(dataset),
+        "the union of the shard groups" if sharded else "groups.json",
+    )
+    ops = read_delta_ops(directory)
+    for op in ops:
+        # Flat-layout ops carry no shard field; sharded ones must name a
+        # shard of this generation.
+        shard_id = op.get("shard") if sharded else 0
+        if shard_id is None or shard_id >= len(shards):
+            raise PersistenceError(
+                f"delta log op references shard {shard_id!r} outside the saved "
+                f"{len(shards)} shard(s) — log and base generation mismatch"
+            )
+        if op["op"] == "insert":
+            apply_insert_op(dataset, op)
+        else:
+            shards[shard_id][2].add(op["index"])
+    for shard_id, (groups, _, _) in enumerate(shards):
+        apply_group_ops(groups, ops, shard=shard_id if sharded else None)
+    return Generation(
+        dataset,
+        top.get("measure"),
+        top["verify"],
+        top.get("placement", "custom") if sharded else None,
+        shards,
+        len(ops),
+    )
+
+
+def verify_dataset_files(directory: str | Path) -> None:
+    """Full-integrity pass over the two dataset encodings (``repro validate``).
+
+    Loading deliberately skips the binary payload digests (an mmap load
+    must not read every page) and reads only one of ``dataset.txt`` /
+    ``dataset.bin``; this is where they are all checked — the manifest's
+    whole-file digest of ``dataset.bin``, every per-segment digest inside
+    its header, and that both files hold the same records (a disagreement
+    would make one directory answer differently per load mode).
+    """
+    from repro.storage.columnar_file import ColumnarFileReader
+
+    directory = Path(directory)
+    recorded = read_manifest(directory, "index manifest")["dataset_bin_digest"]
+    path = directory / DATASET_BIN
+    if not has_binary_dataset(directory):
+        if recorded is not None:
+            raise PersistenceError(
+                f"manifest records a {DATASET_BIN} digest but the file is missing"
+            )
+        return
+    if recorded is not None and file_digest(path) != recorded:
+        raise PersistenceError(
+            f"{DATASET_BIN} digest mismatch against the manifest — corrupt or "
+            "mixed-save index directory"
+        )
+    reader = ColumnarFileReader(path, mode="mmap")
+    reader.verify()
+    binary = Dataset.from_columnar_file(reader)
+    text = Dataset.load(directory / "dataset.txt")
+    if len(text) != len(binary):
+        raise PersistenceError(
+            f"dataset.txt holds {len(text)} records, {DATASET_BIN} holds "
+            f"{len(binary)} — the two dataset encodings disagree"
+        )
+
+    def words(dataset: Dataset, index: int) -> list[str]:
+        tokens = dataset.universe
+        return sorted(str(tokens.token_of(token_id)) for token_id in dataset[index].tokens)
+
+    for index in range(len(text)):
+        if words(text, index) != words(binary, index):
+            raise PersistenceError(
+                f"record {index} differs between dataset.txt and {DATASET_BIN} "
+                "— the two dataset encodings disagree"
+            )
+
+
+# -- the one writer --------------------------------------------------------
+
+
+def _write_generation(
+    directory: str | Path,
+    dataset: Dataset,
+    measure: str,
+    verify: str,
+    placement: str | None,
+    shards: Sequence[tuple[list[list[int]], str, list[int]]],
+) -> None:
+    """Write a fresh generation crash-safely — the only writer.
+
+    ``shards`` holds ``(groups, TGM backend, sorted deleted indices)``
+    per shard; ``placement=None`` asks for the flat layout (exactly one
+    entry).  The text file remains the interchange format; the binary
+    columnar file is what the mapped load modes map.  The staged
+    generation carries no ``delta.log``: a save folds every pending
+    delta op into the new base, which is what compaction is.
+    """
+    from repro.storage.columnar_file import ColumnarFileWriter
+
+    with atomic_directory(directory) as staging:
+        dataset.save(staging / "dataset.txt")
+        ColumnarFileWriter(staging / DATASET_BIN).write(dataset)
+        digests = {
+            "dataset_digest": file_digest(staging / "dataset.txt"),
+            "dataset_bin_digest": file_digest(staging / DATASET_BIN),
+        }
+        manifests = [
+            {
+                "format_version": _FORMAT_VERSION,
+                "measure": measure,
+                "backend": backend,
+                "num_records": len(dataset),
+                "universe_size": len(dataset.universe),
+                "verify": verify,
+                "deleted": deleted,
+            }
+            for _, backend, deleted in shards
+        ]
+        if placement is None:
+            write_index_files(staging, shards[0][0], {**manifests[0], **digests})
+            return
+        entries = []
+        for shard_id, ((groups, _, _), manifest) in enumerate(zip(shards, manifests)):
+            shard_dir = staging / shard_dir_name(shard_id)
+            write_index_files(shard_dir, groups, manifest)
+            entries.append(
+                {"directory": shard_dir_name(shard_id), "digest": _shard_digest(shard_dir)}
+            )
+        top = {
+            SHARDED_MANIFEST_KEY: SHARDED_FORMAT_VERSION,
+            "num_shards": len(shards),
+            "placement": placement,
+            "measure": measure,
+            "verify": verify,
+            "num_records": len(dataset),
+            "universe_size": len(dataset.universe),
+            **digests,
+            "shards": entries,
+        }
+        top["epoch"] = manifest_epoch(top)
+        (staging / "manifest.json").write_text(json.dumps(top, indent=2) + "\n")
 
 
 def save_engine(engine: LES3, directory: str | Path) -> None:
     """Persist a built engine to ``directory`` (created if missing).
 
-    Parameters
-    ----------
-    engine : LES3
-        A built engine; its dataset, group structure, verify mode, and
-        delete log are all captured.
-    directory : str or Path
-        Target directory; created if missing, atomically replaced if
-        present.
+    The engine's dataset, group structure, verify mode, and delete log
+    are all captured; afterwards the directory holds ``manifest.json``,
+    ``dataset.txt``, ``dataset.bin`` and ``groups.json`` (format v4), and
+    the engine is attached to the generation's write-ahead ``delta.log``
+    — later inserts/removes are durable there.
 
-    Returns
-    -------
-    None
-        The directory holds ``manifest.json``, ``dataset.txt``,
-        ``dataset.bin`` (the binary columnar dataset the mmap load path
-        maps), and ``groups.json`` afterwards (format v3).
-
-    Notes
-    -----
-    The save is **crash-safe**: all files are written into a
-    ``<directory>.tmp-<pid>`` sibling, fsynced, and renamed into place
-    (:func:`atomic_directory`).  A crash at any point leaves the target
-    either the previous save, absent, or the new save — never a
-    half-written directory that :func:`repro.load` would reject.
-
-    See Also
-    --------
-    load_engine : the inverse operation.
-    repro.distributed.persistence.save_sharded : the sharded variant.
+    The save is **crash-safe** (:func:`atomic_directory`): a crash at any
+    point leaves the target either the previous save, absent, or the new
+    save — never a half-written directory :func:`repro.load` would
+    reject.  A dataset holding a token the text format cannot carry
+    (:func:`~repro.core.dataset.is_text_token`) raises ``ValueError``
+    and writes nothing.
 
     Examples
     --------
@@ -496,123 +764,35 @@ def save_engine(engine: LES3, directory: str | Path) -> None:
     # (partitioner bug, hand-built TGM), and writing it as a tombstone
     # would silently legitimize it — the load-time coverage check must
     # keep catching that mismatch.
-    from repro.core.delta import DeltaSegment
-
-    manifest = engine_manifest(
-        measure=engine.measure.name,
-        backend=engine.tgm.backend,
-        num_records=len(engine.dataset),
-        universe_size=len(engine.dataset.universe),
-        verify=engine.verify,
-        deleted=sorted(engine.removed),
+    _write_generation(
+        directory, engine.dataset, engine.measure.name, engine.verify, None,
+        [(engine.tgm.group_members, engine.tgm.backend, sorted(engine.removed))],
     )
-    with atomic_directory(directory) as staging:
-        manifest.update(write_dataset_files(engine.dataset, staging))
-        # The staged generation carries no delta.log: a save folds every
-        # pending delta op into the new base, which is what compaction is.
-        write_index_files(staging, engine.tgm.group_members, manifest)
     engine._delta = DeltaSegment(directory)
 
 
-def load_engine(directory: str | Path, mode: str = "memory") -> LES3:
-    """Deprecated alias of :func:`repro.load` for single-engine saves.
+def save_sharded(engine: ShardedLES3, directory: str | Path) -> None:
+    """Persist a built sharded engine to ``directory`` (created if missing).
 
-    Kept as a documented thin wrapper: it behaves exactly like
-    :func:`_load_engine` always has, but new code should call
-    :func:`repro.load`, which auto-detects single-engine vs sharded
-    directories and accepts one uniform set of options for both.  See
-    the migration note in ``docs/persistence.md``.
+    The sharded counterpart of :func:`save_engine`, with the same crash
+    safety and the same ``delta.log`` attachment.  The global dataset is
+    written once; every shard gets a subdirectory with the flat layout's
+    ``manifest.json`` (that shard's ``deleted`` tombstones, the engine's
+    ``verify`` mode) and ``groups.json`` (global record indices); the
+    top-level manifest records the placement policy, the shard count,
+    and a digest of every shard's files.  Because each save is a fresh
+    staged directory, stale ``shard-NNNN`` subdirectories of a previous
+    save with more shards can never survive a re-save.
     """
-    warnings.warn(
-        "load_engine is deprecated; use repro.load(directory, mode=...) — "
-        "it auto-detects single-engine and sharded saves",
-        DeprecationWarning,
-        stacklevel=2,
+    deleted_of_shard: dict[int, list[int]] = {}
+    for record_index, shard_id in engine.removed.items():
+        deleted_of_shard.setdefault(shard_id, []).append(record_index)
+    _write_generation(
+        directory, engine.dataset, engine.measure.name, engine.verify,
+        engine.placement,
+        [
+            (tgm.group_members, tgm.backend, sorted(deleted_of_shard.get(shard_id, [])))
+            for shard_id, tgm in enumerate(engine.tgms)
+        ],
     )
-    return _load_engine(directory, mode)
-
-
-def _load_engine(directory: str | Path, mode: str = "memory") -> LES3:
-    """Load an engine persisted by :func:`save_engine`.
-
-    Reads the current format (v3) as well as v2 and v1 directories (v1:
-    no ``deleted`` / ``verify`` fields — nothing was removed,
-    verification defaults to columnar).  The groups plus the deleted
-    list must cover the dataset exactly once; the loaded engine
-    re-applies the deletions, so queries answer identically to the
-    engine that was saved.
-
-    Parameters
-    ----------
-    directory : str or Path
-        An index directory written by :func:`save_engine`.
-    mode : {"memory", "mmap"}, default ``"memory"``
-        ``"memory"`` parses ``dataset.txt`` into Python records (any
-        format version).  ``"mmap"`` maps the binary columnar
-        ``dataset.bin`` (v3 saves) with ``np.memmap`` instead: queries
-        read only the pages they touch and no record objects are
-        materialized — answers are bit-identical either way.
-
-    Returns
-    -------
-    LES3
-        A rebuilt engine answering knn/range/join queries identically to
-        the one that was saved, delete log and verify mode included.
-
-    Raises
-    ------
-    PersistenceError
-        If any file is corrupt, the format version is unknown, the
-        groups don't cover the dataset exactly once, ``mode="mmap"`` is
-        asked of a pre-v3 directory (no ``dataset.bin``), or the
-        directory holds a *sharded* index (use
-        :func:`repro.distributed.load_sharded` for those).
-    FileNotFoundError
-        If the directory or one of its files does not exist.
-    """
-    from repro.core.delta import (
-        DeltaSegment,
-        apply_group_ops,
-        apply_insert_op,
-        read_delta_ops,
-    )
-
-    if mode not in LOAD_MODES:
-        raise ValueError(f"unknown load mode {mode!r}; expected one of {LOAD_MODES}")
-    directory = Path(directory)
-    recover_interrupted_swap(directory)
-    manifest = read_index_manifest(directory)
-    if mode == "mmap":
-        dataset = open_mapped_dataset(directory, manifest)
-    else:
-        check_dataset_digest(manifest, directory)
-        dataset = Dataset.load(directory / "dataset.txt")
-    if len(dataset) != manifest["num_records"]:
-        raise PersistenceError(
-            f"dataset.txt holds {len(dataset)} records, manifest says "
-            f"{manifest['num_records']} — index directory is corrupt"
-        )
-    deleted, verify = parse_manifest_state(manifest, len(dataset))
-    groups = read_groups(directory)
-    check_exact_cover(groups, deleted, len(dataset), "groups.json")
-    # Replay the write-ahead delta log over the immutable base: inserts
-    # re-append their records (index-checked against the log), removes
-    # become tombstones, and the group lists absorb both before the TGM
-    # is built — so base + delta answers bit-identically to an engine
-    # rebuilt from the folded state.
-    ops = read_delta_ops(directory)
-    removed = set(deleted)
-    for op in ops:
-        if op["op"] == "insert":
-            apply_insert_op(dataset, op)
-        else:
-            removed.add(op["index"])
-    if ops:
-        apply_group_ops(groups, ops)
-    tgm = TokenGroupMatrix(
-        dataset, groups, get_measure(manifest["measure"]), manifest["backend"]
-    )
-    engine = LES3(dataset, tgm, verify=verify)
-    engine.removed = removed
-    engine._delta = DeltaSegment(directory, num_ops=len(ops))
-    return engine
+    engine._delta = DeltaSegment(directory)

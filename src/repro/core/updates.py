@@ -14,7 +14,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, is_text_token
 from repro.core.sets import SetRecord
 from repro.core.tgm import TokenGroupMatrix
 
@@ -46,10 +46,18 @@ def insert_set(
 
     With ``intern=True`` unseen tokens extend the universe (open-universe
     insertion); with ``intern=False`` unseen tokens raise ``KeyError``
-    (strictly closed universe).
+    (strictly closed universe).  A token the text dataset format cannot
+    carry (:func:`~repro.core.dataset.is_text_token`) raises
+    ``ValueError`` before anything is mutated.
     """
     if not tokens:
         raise ValueError("cannot insert an empty set")
+    for token in tokens:
+        if not is_text_token(token):
+            raise ValueError(
+                f"cannot insert the token {token!r}: a stored token must be "
+                "non-empty and free of whitespace (dataset.txt could not carry it)"
+            )
     # Sorted so the candidate-id order never inherits set hash order:
     # downstream consumers are order-insensitive today, but bit-identity
     # across processes must not depend on that staying true.

@@ -4,12 +4,11 @@ Section 7.2 of the paper leaves distributed deployment as future work;
 this package supplies the scatter-gather layer: deterministic shard
 placement (:mod:`repro.distributed.sharding`), the exact sharded engine
 (:class:`ShardedLES3`) with hierarchical shard → group → record bounds,
-and the sharded persistence lifecycle
-(:mod:`repro.distributed.persistence`: :func:`save_sharded` /
-:func:`load_sharded`).
+and :func:`save_sharded`, which persists one (the format lives in
+:mod:`repro.core.persistence`; :func:`repro.load` is the inverse).
 """
 
-from repro.distributed.persistence import SHARDED_LOAD_MODES, load_sharded, save_sharded
+from repro.core.persistence import save_sharded
 from repro.distributed.sharded import LazyShardTGMs, ShardedLES3
 from repro.distributed.sharding import SHARD_STRATEGIES, assign_shards, record_shard_hash
 
@@ -17,9 +16,7 @@ __all__ = [
     "ShardedLES3",
     "LazyShardTGMs",
     "save_sharded",
-    "load_sharded",
     "assign_shards",
     "record_shard_hash",
     "SHARD_STRATEGIES",
-    "SHARDED_LOAD_MODES",
 ]

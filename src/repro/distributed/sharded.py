@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence as SequenceABC
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class LazyShardTGMs(SequenceABC):
     ``capacity`` built TGMs resident, evicting the least recently visited
     one beyond that.  Pruned shards therefore never pay their index
     build, and resident index memory is bounded by the capacity rather
-    than the shard count — which is what ``load_sharded(..., mode="lazy")``
+    than the shard count — which is what ``repro.load(..., mode="lazy")``
     hands to :class:`ShardedLES3`.  The cache is a thread-safe
     :class:`~repro.core.cache.LRUCache` because a
     :class:`~repro.serve.service.QueryService` with ``concurrency > 1``
@@ -154,8 +154,8 @@ class ShardedLES3:
     of the record indices.  Construct via :meth:`build` (partition from
     scratch) or :meth:`from_engine` (re-shard an existing single-node
     engine); persist with
-    :func:`repro.distributed.persistence.save_sharded` and restore with
-    :func:`~repro.distributed.persistence.load_sharded`.
+    :func:`repro.core.persistence.save_sharded` and restore with
+    :func:`repro.load`.
 
     Parameters
     ----------
@@ -164,7 +164,7 @@ class ShardedLES3:
         :meth:`repro.core.dataset.Dataset.from_columnar_file`).
     tgms : sequence of TokenGroupMatrix
         One TGM per shard, over disjoint record subsets of ``dataset``.
-        May be a :class:`LazyShardTGMs` (``load_sharded(..., mode="lazy")``),
+        May be a :class:`LazyShardTGMs` (``repro.load(..., mode="lazy")``),
         in which case ``shard_groups`` must carry the per-shard group
         membership so construction doesn't force every build; lazy
         engines are read-only.
@@ -221,7 +221,7 @@ class ShardedLES3:
         # the tombstone log the sharded manifests persist.
         self.removed: dict[int, int] = {}
         # Write-ahead delta segment of the saved generation (attached by
-        # save_sharded/load_sharded); None for in-memory builds.
+        # save_sharded/repro.load); None for in-memory builds.
         self._delta = None
         self._shard_of: dict[int, int] = {}
         self._shard_loads: list[int] = [0] * len(self.tgms)
@@ -370,28 +370,41 @@ class ShardedLES3:
         to shard 0: they belong to no group, so the choice is pure
         bookkeeping for persistence).
         """
+        return cls._from_groups(
+            engine.dataset, engine.tgm.group_members, engine.measure,
+            engine.tgm.backend, engine.verify, engine.removed, num_shards, workers,
+        )
+
+    @classmethod
+    def _from_groups(
+        cls,
+        dataset: Dataset,
+        groups: Sequence[Sequence[int]],
+        measure: Similarity,
+        backend: str,
+        verify: str,
+        removed: Iterable[int],
+        num_shards: int,
+        workers: int | None,
+    ) -> "ShardedLES3":
+        """:meth:`from_engine` over plain data (``repro rebalance`` has no engine)."""
         if num_shards < 1:
             raise ValueError(f"num_shards must be positive, got {num_shards}")
-        groups = [list(members) for members in engine.tgm.group_members]
+        groups = [list(members) for members in groups]
         num_shards = min(num_shards, len(groups)) or 1
         bins = lpt_balance([len(group) for group in groups], num_shards)
         shard_groups = [[groups[group_id] for group_id in bin_] for bin_ in bins]
 
         def shard_builder(assigned: list[list[int]]) -> Callable[[], TokenGroupMatrix]:
             def build() -> TokenGroupMatrix:
-                return TokenGroupMatrix(
-                    engine.dataset, assigned, engine.measure, engine.tgm.backend
-                )
+                return TokenGroupMatrix(dataset, assigned, measure, backend)
 
             return build
 
         builders = [shard_builder(assigned) for assigned in shard_groups]
-        sharded = cls(
-            engine.dataset, _build_concurrently(builders, workers), engine.measure,
-            verify=engine.verify,
-        )
+        sharded = cls(dataset, _build_concurrently(builders, workers), measure, verify=verify)
         sharded.placement = "lpt"
-        sharded.removed = {record_index: 0 for record_index in engine.removed}
+        sharded.removed = {record_index: 0 for record_index in removed}
         return sharded
 
     # -- lifecycle ---------------------------------------------------------
@@ -405,8 +418,6 @@ class ShardedLES3:
         only safe behavior.
         """
         if self.is_lazy:
-            from repro.core.persistence import PersistenceError
-
             raise PersistenceError(
                 f"cannot {operation} on a lazily loaded engine (mode='lazy'): "
                 "shard indexes are rebuilt from disk on demand, so in-memory "
@@ -933,7 +944,7 @@ class ShardedLES3:
         """Append a committed mutation to the generation's delta log.
 
         With a delta segment attached (the engine went through
-        ``save_sharded``/``load_sharded``) the op is made durable;
+        ``save_sharded``/``repro.load``) the op is made durable;
         without one (an in-memory build) there is nothing to do.
         """
         if self._delta is None:

@@ -30,24 +30,26 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.api import load
 from repro.core.persistence import (
-    DATASET_BIN,
     PersistenceError,
-    _load_engine,
+    has_binary_dataset,
+    read_generation,
     recover_interrupted_swap,
     save_engine,
-)
-from repro.distributed.persistence import (
-    is_sharded_index,
-    _load_sharded,
     save_sharded,
 )
-from repro.distributed.sharded import ShardedLES3, _build_concurrently
-from repro.distributed.sharding import lpt_balance
-from repro.core.tgm import TokenGroupMatrix
+from repro.core.similarity import get_measure
+from repro.distributed.sharded import ShardedLES3
 from repro.testing.faults import fault_point
 
 __all__ = ["compact_index", "rebalance_index"]
+
+
+def _fold_mode(directory: Path) -> str:
+    """mmap keeps a fold cheap (no text parse) and is bit-identical;
+    pre-v3 saves have no dataset.bin and fall back to the text load."""
+    return "mmap" if has_binary_dataset(directory) else "memory"
 
 
 def compact_index(directory: str | Path, workers: int | None = None) -> dict:
@@ -67,32 +69,21 @@ def compact_index(directory: str | Path, workers: int | None = None) -> dict:
     """
     directory = Path(directory)
     recover_interrupted_swap(directory)
-    # mmap keeps the fold cheap (no text parse) and is bit-identical;
-    # pre-v3 saves have no dataset.bin and fall back to the text load.
-    mode = "mmap" if (directory / DATASET_BIN).is_file() else "memory"
     fault_point("compact.load", str(directory))
-    if is_sharded_index(directory):
-        engine = _load_sharded(directory, workers=workers, mode=mode)
-        ops_folded = engine._delta.num_ops
-        fault_point("compact.fold", str(directory))
-        save_sharded(engine, directory)
-        return {
-            "sharded": True,
-            "num_shards": engine.num_shards,
-            "ops_folded": ops_folded,
-            "num_records": len(engine.dataset),
-            "num_tombstones": len(engine.removed),
-        }
-    engine = _load_engine(directory, mode=mode)
-    ops_folded = engine._delta.num_ops
-    fault_point("compact.fold", str(directory))
-    save_engine(engine, directory)
-    return {
-        "sharded": False,
-        "ops_folded": ops_folded,
+    engine = load(directory, mode=_fold_mode(directory), workers=workers)
+    summary = {
+        "sharded": isinstance(engine, ShardedLES3),
+        "ops_folded": engine._delta.num_ops,
         "num_records": len(engine.dataset),
         "num_tombstones": len(engine.removed),
     }
+    fault_point("compact.fold", str(directory))
+    if isinstance(engine, ShardedLES3):
+        summary["num_shards"] = engine.num_shards
+        save_sharded(engine, directory)
+    else:
+        save_engine(engine, directory)
+    return summary
 
 
 def rebalance_index(
@@ -112,60 +103,26 @@ def rebalance_index(
     Returns ``{"num_shards", "num_groups", "num_records",
     "ops_folded", "shard_sizes"}``.
     """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
     directory = Path(directory)
     recover_interrupted_swap(directory)
-    mode = "mmap" if (directory / DATASET_BIN).is_file() else "memory"
     fault_point("rebalance.load", str(directory))
-    if is_sharded_index(directory):
-        source = _load_sharded(directory, workers=workers, mode=mode)
-        dataset = source.dataset
-        groups = [
-            list(members)
-            for shard_groups in source._shard_groups
-            for members in shard_groups
-        ]
-        measure = source.measure
-        backend = source.tgms[0].backend
-        verify = source.verify
-        removed = set(source.removed)
-        ops_folded = source._delta.num_ops
-    else:
-        source = _load_engine(directory, mode=mode)
-        dataset = source.dataset
-        groups = [list(members) for members in source.tgm.group_members]
-        measure = source.measure
-        backend = source.tgm.backend
-        verify = source.verify
-        removed = set(source.removed)
-        ops_folded = source._delta.num_ops
+    source = read_generation(directory, _fold_mode(directory))
+    groups = [group for shard_groups, _, _ in source.shards for group in shard_groups]
     if not groups:
         raise PersistenceError(
             f"{directory} holds no groups — nothing to rebalance"
         )
-    num_shards = min(num_shards, len(groups)) or 1
-    bins = lpt_balance([len(group) for group in groups], num_shards)
-    shard_groups = [[groups[group_id] for group_id in bin_] for bin_ in bins]
-
-    def shard_builder(assigned):
-        def build() -> TokenGroupMatrix:
-            return TokenGroupMatrix(dataset, assigned, measure, backend)
-
-        return build
-
     fault_point("rebalance.build", str(directory))
-    tgms = _build_concurrently(
-        [shard_builder(assigned) for assigned in shard_groups], workers
+    removed = [index for _, _, deleted in source.shards for index in deleted]
+    engine = ShardedLES3._from_groups(
+        source.dataset, groups, get_measure(source.measure), source.shards[0][1],
+        source.verify, removed, num_shards, workers,
     )
-    engine = ShardedLES3(dataset, tgms, measure, verify=verify)
-    engine.placement = "lpt"
-    engine.removed = {record_index: 0 for record_index in removed}
     save_sharded(engine, directory)
     return {
         "num_shards": engine.num_shards,
         "num_groups": engine.num_groups,
-        "num_records": len(dataset),
-        "ops_folded": ops_folded,
+        "num_records": len(engine.dataset),
+        "ops_folded": source.num_ops,
         "shard_sizes": engine.shard_sizes(),
     }

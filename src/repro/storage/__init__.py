@@ -6,7 +6,7 @@ Two halves live here:
   binary columnar ``dataset.bin`` format
   (:class:`ColumnarFileWriter`/:class:`ColumnarFileReader`) and the
   ``np.memmap``-backed :class:`MappedColumnarView` behind
-  ``load_engine(..., mode="mmap")`` / ``load_sharded(..., mode="mmap"|"lazy")``.
+  ``repro.load(..., mode="mmap"|"lazy")``.
 * :mod:`repro.storage.disk` / :mod:`repro.storage.layout` — the
   *simulated* disk cost model for the paper's Figure 13 evaluation.
 """

@@ -28,15 +28,15 @@ import sys
 
 import pytest
 
+import repro
 from repro.core import LES3, Dataset
 from repro.core.delta import DELTA_LOG
 from repro.core.persistence import (
-    _load_engine,
     recover_interrupted_swap,
     save_engine,
 )
 from repro.datasets import zipf_dataset
-from repro.distributed.persistence import _load_sharded, save_sharded
+from repro.distributed import save_sharded
 from repro.distributed.sharded import ShardedLES3
 from repro.maintenance import compact_index
 from repro.partitioning import MinTokenPartitioner
@@ -149,7 +149,7 @@ def assert_old_or_new(target, load, old_epoch, expected):
 class TestCompactEngineMatrix:
     def test_interrupted_everywhere(self, small_dataset, tmp_path):
         dirty, old_epoch = make_dirty(tmp_path, small_dataset, sharded=False)
-        expected = reference_answers(dirty, _load_engine)
+        expected = reference_answers(dirty, repro.load)
         trace = record_trace(dirty, tmp_path)
         points = {point for point, _ in trace}
         assert {"compact.load", "compact.fold", "save.swap"} <= points
@@ -159,18 +159,18 @@ class TestCompactEngineMatrix:
             with armed(FaultPlan([FaultRule(point, skip=skip)])):
                 with pytest.raises(InjectedFault):
                     compact_index(target)
-            assert_old_or_new(target, _load_engine, old_epoch, expected)
+            assert_old_or_new(target, repro.load, old_epoch, expected)
             assert not list(tmp_path.glob(f"fault-{n}.tmp-*")), (
                 f"staging left behind after fault at {point} #{skip}"
             )
 
     def test_clean_compact_folds_and_empties_delta(self, small_dataset, tmp_path):
         dirty, old_epoch = make_dirty(tmp_path, small_dataset, sharded=False)
-        expected = reference_answers(dirty, _load_engine)
+        expected = reference_answers(dirty, repro.load)
         stats = compact_index(dirty)
         assert stats["ops_folded"] == 2
         assert not (dirty / DELTA_LOG).exists()
-        assert_old_or_new(dirty, _load_engine, old_epoch, expected)
+        assert_old_or_new(dirty, repro.load, old_epoch, expected)
         # Idempotent: compacting a clean generation folds nothing.
         assert compact_index(dirty)["ops_folded"] == 0
 
@@ -178,7 +178,7 @@ class TestCompactEngineMatrix:
 class TestCompactShardedMatrix:
     def test_interrupted_everywhere(self, small_dataset, tmp_path):
         dirty, old_epoch = make_dirty(tmp_path, small_dataset, sharded=True)
-        expected = reference_answers(dirty, _load_sharded)
+        expected = reference_answers(dirty, repro.load)
         trace = record_trace(dirty, tmp_path)
         for n, (point, skip) in enumerate(injections(trace)):
             target = tmp_path / f"fault-{n}"
@@ -186,7 +186,7 @@ class TestCompactShardedMatrix:
             with armed(FaultPlan([FaultRule(point, skip=skip)])):
                 with pytest.raises(InjectedFault):
                     compact_index(target)
-            assert_old_or_new(target, _load_sharded, old_epoch, expected)
+            assert_old_or_new(target, repro.load, old_epoch, expected)
 
 
 class TestCompactKillMatrix:
@@ -194,7 +194,7 @@ class TestCompactKillMatrix:
 
     def test_killed_at_every_point(self, small_dataset, tmp_path):
         dirty, old_epoch = make_dirty(tmp_path, small_dataset, sharded=False)
-        expected = reference_answers(dirty, _load_engine)
+        expected = reference_answers(dirty, repro.load)
         points = sorted({point for point, _ in record_trace(dirty, tmp_path)})
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -211,4 +211,4 @@ class TestCompactKillMatrix:
                 capture_output=True, text=True, env=env, cwd=os.getcwd(),
             )
             assert result.returncode != 0, f"kill at {point} did not kill"
-            assert_old_or_new(target, _load_engine, old_epoch, expected)
+            assert_old_or_new(target, repro.load, old_epoch, expected)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Dataset, LES3, load_engine, save_engine
+import repro
+from repro.core import Dataset, LES3, save_engine
 from repro.datasets import zipf_dataset
-from repro.distributed import ShardedLES3, load_sharded, save_sharded
+from repro.distributed import ShardedLES3, save_sharded
 from repro.partitioning import MinTokenPartitioner
 from repro.testing.faults import (
     FaultPlan,
@@ -107,7 +108,7 @@ class TestSaveEngineMatrix:
             with armed(plan):
                 with pytest.raises(InjectedFault):
                     save_engine(engine, target)
-            assert_absent_or_loads(target, load_engine, {len(engine.dataset)})
+            assert_absent_or_loads(target, repro.load, {len(engine.dataset)})
             assert not list(tmp_path.glob(f"fresh-{n}.tmp-*")), (
                 f"staging left behind after fault at {point} #{skip}"
             )
@@ -127,7 +128,7 @@ class TestSaveEngineMatrix:
             with armed(plan):
                 with pytest.raises(InjectedFault):
                     save_engine(new, target)
-            assert_absent_or_loads(target, load_engine, sizes)
+            assert_absent_or_loads(target, repro.load, sizes)
 
     def test_exception_mid_swap_rolls_old_generation_back(
         self, small_dataset, other_dataset, tmp_path
@@ -142,7 +143,7 @@ class TestSaveEngineMatrix:
             with pytest.raises(InjectedFault):
                 save_engine(new, target)
         assert target.exists()
-        assert len(load_engine(target).dataset) == len(old.dataset)
+        assert len(repro.load(target).dataset) == len(old.dataset)
 
     def test_stale_siblings_cleared_by_next_save(self, small_dataset, tmp_path):
         engine = build_engine(small_dataset)
@@ -154,7 +155,7 @@ class TestSaveEngineMatrix:
         save_engine(engine, target)
         assert not list(tmp_path.glob("idx.tmp-*"))
         assert not list(tmp_path.glob("idx.old-*"))
-        assert len(load_engine(target).dataset) == len(engine.dataset)
+        assert len(repro.load(target).dataset) == len(engine.dataset)
 
 
 class TestSaveShardedMatrix:
@@ -167,7 +168,7 @@ class TestSaveShardedMatrix:
             with armed(plan):
                 with pytest.raises(InjectedFault):
                     save_sharded(engine, target)
-            assert_absent_or_loads(target, load_sharded, {len(engine.dataset)})
+            assert_absent_or_loads(target, repro.load, {len(engine.dataset)})
             assert not list(tmp_path.glob(f"fresh-{n}.tmp-*"))
 
     def test_overwrite_interrupted_everywhere(
@@ -184,4 +185,4 @@ class TestSaveShardedMatrix:
             with armed(plan):
                 with pytest.raises(InjectedFault):
                     save_sharded(new, target)
-            assert_absent_or_loads(target, load_sharded, sizes)
+            assert_absent_or_loads(target, repro.load, sizes)

@@ -1,4 +1,4 @@
-"""Single-engine out-of-core loads: ``load_engine(..., mode="mmap")``.
+"""Single-engine out-of-core loads: ``repro.load(..., mode="mmap")``.
 
 Contract: an mmap load answers knn/range/join bit-identically to the
 in-memory text load of the same save — deletes and verify mode included —
@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.core import LES3, Dataset, PersistenceError, load_engine, save_engine
+import repro
+from repro.core import LES3, Dataset, PersistenceError, save_engine
 from repro.partitioning import MinTokenPartitioner
 from repro.storage.columnar_file import LazyRecords
 from repro.workloads import sample_queries
@@ -41,8 +42,8 @@ def str_queries(engine, count, seed=3):
 
 class TestMmapEquivalence:
     def test_knn_range_join_bit_identical(self, engine, index_dir):
-        memory = load_engine(index_dir)
-        mapped = load_engine(index_dir, mode="mmap")
+        memory = repro.load(index_dir)
+        mapped = repro.load(index_dir, mode="mmap")
         for tokens in str_queries(engine, 10):
             assert memory.knn(tokens, k=5).matches == mapped.knn(tokens, k=5).matches
             assert (
@@ -51,8 +52,8 @@ class TestMmapEquivalence:
         assert memory.join(0.5).pairs == mapped.join(0.5).pairs
 
     def test_scalar_verify_matches_too(self, index_dir):
-        memory = load_engine(index_dir)
-        mapped = load_engine(index_dir, mode="mmap")
+        memory = repro.load(index_dir)
+        mapped = repro.load(index_dir, mode="mmap")
         tokens = [str(t) for t in memory.tokens_of(0)]
         assert (
             memory.knn(tokens, k=4, verify="scalar").matches
@@ -61,7 +62,7 @@ class TestMmapEquivalence:
         )
 
     def test_mmap_load_does_not_materialize_records(self, index_dir):
-        mapped = load_engine(index_dir, mode="mmap")
+        mapped = repro.load(index_dir, mode="mmap")
         records = mapped.dataset.records
         assert isinstance(records, LazyRecords)
         assert len(records._cache) == 0 and not records._overlay
@@ -74,7 +75,7 @@ class TestMmapEquivalence:
         engine.remove(0)
         engine.remove(7)
         save_engine(engine, tmp_path / "index")
-        mapped = load_engine(tmp_path / "index", mode="mmap")
+        mapped = repro.load(tmp_path / "index", mode="mmap")
         assert mapped.removed == {0, 7}
         native = engine.tokens_of(0)
         tokens = [str(t) for t in native]
@@ -82,7 +83,7 @@ class TestMmapEquivalence:
         assert mapped.knn(tokens, k=5).matches == engine.knn(native, k=5).matches
 
     def test_insert_on_mapped_engine_still_works(self, index_dir):
-        mapped = load_engine(index_dir, mode="mmap")
+        mapped = repro.load(index_dir, mode="mmap")
         before = len(mapped.dataset)
         index, _ = mapped.insert(["brand-new-token", "another-one"])
         assert index == before
@@ -91,7 +92,7 @@ class TestMmapEquivalence:
         ]
 
     def test_stats_served_from_the_mapping(self, engine, index_dir):
-        mapped = load_engine(index_dir, mode="mmap")
+        mapped = repro.load(index_dir, mode="mmap")
         assert mapped.dataset.stats() == engine.dataset.stats()
         assert len(mapped.dataset.records._cache) == 0
 
@@ -99,7 +100,7 @@ class TestMmapEquivalence:
 class TestMmapRefusals:
     def test_unknown_mode(self, index_dir):
         with pytest.raises(ValueError, match="unknown load mode"):
-            load_engine(index_dir, mode="laser")
+            repro.load(index_dir, mode="laser")
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_pre_v3_directory_has_no_binary_dataset(self, index_dir, version):
@@ -113,21 +114,21 @@ class TestMmapRefusals:
             for field in ("verify", "deleted"):
                 manifest.pop(field, None)
         (index_dir / "manifest.json").write_text(json.dumps(manifest))
-        assert load_engine(index_dir).verify == "columnar"  # memory path is fine
+        assert repro.load(index_dir).verify == "columnar"  # memory path is fine
         with pytest.raises(PersistenceError, match="saved before format v3"):
-            load_engine(index_dir, mode="mmap")
+            repro.load(index_dir, mode="mmap")
 
     def test_header_manifest_record_count_mismatch(self, index_dir):
         manifest = json.loads((index_dir / "manifest.json").read_text())
         manifest["num_records"] += 1
         (index_dir / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(PersistenceError, match="mixes files from different saves"):
-            load_engine(index_dir, mode="mmap")
+            repro.load(index_dir, mode="mmap")
 
     def test_truncated_binary_dataset(self, index_dir):
         path = index_dir / "dataset.bin"
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(PersistenceError, match="shorter than its header claims"):
-            load_engine(index_dir, mode="mmap")
+            repro.load(index_dir, mode="mmap")
         # The text path is untouched by binary corruption.
-        assert load_engine(index_dir).num_groups > 0
+        assert repro.load(index_dir).num_groups > 0

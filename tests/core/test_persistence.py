@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core import LES3, Dataset, load_engine, save_engine
+import repro
+from repro.core import LES3, Dataset, save_engine
 from repro.partitioning import MinTokenPartitioner
 from repro.workloads import sample_queries
 
@@ -18,7 +19,7 @@ def engine(zipf_small):
 class TestRoundTrip:
     def test_structure_preserved(self, engine, tmp_path):
         save_engine(engine, tmp_path / "index")
-        loaded = load_engine(tmp_path / "index")
+        loaded = repro.load(tmp_path / "index")
         assert loaded.tgm.num_groups == engine.tgm.num_groups
         assert len(loaded.dataset) == len(engine.dataset)
         assert sorted(map(len, loaded.tgm.group_members)) == sorted(
@@ -27,7 +28,7 @@ class TestRoundTrip:
 
     def test_external_token_queries_agree(self, engine, tmp_path):
         save_engine(engine, tmp_path / "index")
-        loaded = load_engine(tmp_path / "index")
+        loaded = repro.load(tmp_path / "index")
         for query in sample_queries(engine.dataset, 10, seed=41):
             tokens = [engine.dataset.universe.token_of(t) for t in query.distinct]
             original = {
@@ -50,14 +51,14 @@ class TestRoundTrip:
             backend="roaring",
         )
         save_engine(engine, tmp_path / "index")
-        loaded = load_engine(tmp_path / "index")
+        loaded = repro.load(tmp_path / "index")
         assert loaded.measure.name == "cosine"
         assert loaded.tgm.backend == "roaring"
 
     def test_save_is_idempotent(self, engine, tmp_path):
         save_engine(engine, tmp_path / "index")
         save_engine(engine, tmp_path / "index")
-        assert load_engine(tmp_path / "index").tgm.num_groups == engine.tgm.num_groups
+        assert repro.load(tmp_path / "index").tgm.num_groups == engine.tgm.num_groups
 
 
 class TestDeleteRoundTrip:
@@ -85,7 +86,7 @@ class TestDeleteRoundTrip:
         engine.remove(17)
         engine.remove(105)
         save_engine(engine, tmp_path / "index")
-        loaded = load_engine(tmp_path / "index")
+        loaded = repro.load(tmp_path / "index")
         assert loaded.removed == {2, 17, 105}
         assert len(loaded.dataset) == len(engine.dataset)  # indices stay stable
         self.assert_same_answers(engine, loaded, sample_queries(engine.dataset, 8, seed=44))
@@ -97,7 +98,7 @@ class TestDeleteRoundTrip:
         engine.remove(30)
         engine.insert(["9000"])
         save_engine(engine, tmp_path / "index")
-        loaded = load_engine(tmp_path / "index")
+        loaded = repro.load(tmp_path / "index")
         assert loaded.removed == {0, 30}
         self.assert_same_answers(engine, loaded, sample_queries(engine.dataset, 6, seed=45))
         assert loaded.join(0.5).pairs == engine.join(0.5).pairs
@@ -105,10 +106,10 @@ class TestDeleteRoundTrip:
     def test_verify_mode_round_trips(self, engine, tmp_path):
         engine.verify = "scalar"
         save_engine(engine, tmp_path / "index")
-        assert load_engine(tmp_path / "index").verify == "scalar"
+        assert repro.load(tmp_path / "index").verify == "scalar"
         engine.verify = "columnar"
         save_engine(engine, tmp_path / "index")
-        assert load_engine(tmp_path / "index").verify == "columnar"
+        assert repro.load(tmp_path / "index").verify == "columnar"
 
     def test_v1_directories_still_load(self, engine, tmp_path):
         """Pre-delete-aware manifests (format 1) must keep loading."""
@@ -119,7 +120,7 @@ class TestDeleteRoundTrip:
         del manifest["deleted"]
         del manifest["verify"]
         manifest_path.write_text(json.dumps(manifest))
-        loaded = load_engine(tmp_path / "index")
+        loaded = repro.load(tmp_path / "index")
         assert loaded.removed == set()
         assert loaded.verify == "columnar"
         assert loaded.tgm.num_groups == engine.tgm.num_groups
@@ -131,7 +132,7 @@ class TestDeleteRoundTrip:
         manifest["deleted"] = [len(engine.dataset) + 5]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="deleted"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_unknown_verify_mode_rejected(self, engine, tmp_path):
         """A corrupt 'verify' fails at load, not at the first query."""
@@ -141,7 +142,7 @@ class TestDeleteRoundTrip:
         manifest["verify"] = "scalr"
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="verify"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_orphaned_record_is_not_laundered_into_tombstone(self, engine, tmp_path):
         """save writes the engine's delete log, not the unassigned records.
@@ -157,7 +158,7 @@ class TestDeleteRoundTrip:
                 break
         save_engine(engine, tmp_path / "index")
         with pytest.raises(ValueError, match="cover"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     @pytest.mark.parametrize("bad", [["0"], [True], [1.5], "0", {"a": 1}])
     def test_deleted_non_integer_rejected(self, engine, tmp_path, bad):
@@ -168,7 +169,7 @@ class TestDeleteRoundTrip:
         manifest["deleted"] = bad
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="deleted"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_deleted_record_still_grouped_rejected(self, engine, tmp_path):
         """A record cannot be both deleted and a group member."""
@@ -178,7 +179,7 @@ class TestDeleteRoundTrip:
         manifest["deleted"] = [0]  # record 0 is still in groups.json
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="cover"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
 
 class TestCorruptionDetection:
@@ -189,14 +190,14 @@ class TestCorruptionDetection:
         manifest["format_version"] = 99
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="format version"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_record_count_mismatch(self, engine, tmp_path):
         save_engine(engine, tmp_path / "index")
         data_path = tmp_path / "index" / "dataset.txt"
         data_path.write_text(data_path.read_text() + "extra tokens here\n")
         with pytest.raises(ValueError, match="corrupt"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_groups_not_covering(self, engine, tmp_path):
         save_engine(engine, tmp_path / "index")
@@ -205,11 +206,11 @@ class TestCorruptionDetection:
         groups[0] = groups[0][1:]  # drop one record
         groups_path.write_text(json.dumps(groups))
         with pytest.raises(ValueError, match="cover"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_engine(tmp_path / "nope")
+            repro.load(tmp_path / "nope")
 
     def test_tampered_dataset_same_count(self, engine, tmp_path):
         """Editing dataset.txt without changing the record count is caught."""
@@ -219,7 +220,7 @@ class TestCorruptionDetection:
         lines[0] = "totally different tokens"
         data_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="digest"):
-            load_engine(tmp_path / "index")
+            repro.load(tmp_path / "index")
 
     def test_digestless_v2_manifest_still_loads(self, engine, tmp_path):
         """Saves written before dataset_digest existed skip the check."""
@@ -228,4 +229,4 @@ class TestCorruptionDetection:
         manifest = json.loads(manifest_path.read_text())
         del manifest["dataset_digest"]
         manifest_path.write_text(json.dumps(manifest))
-        assert load_engine(tmp_path / "index").tgm.num_groups == engine.tgm.num_groups
+        assert repro.load(tmp_path / "index").tgm.num_groups == engine.tgm.num_groups

@@ -1,4 +1,4 @@
-"""Sharded out-of-core loads: ``load_sharded(..., mode="mmap"|"lazy")``.
+"""Sharded out-of-core loads: ``repro.load(..., mode="mmap"|"lazy")``.
 
 Contract: both mmap-backed modes answer knn/range/join/batch
 bit-identically to the in-memory load — for every shard count — while
@@ -14,9 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro.core import PersistenceError
 from repro.datasets import zipf_dataset
-from repro.distributed import LazyShardTGMs, ShardedLES3, load_sharded, save_sharded
+from repro.distributed import LazyShardTGMs, ShardedLES3, save_sharded
 from repro.partitioning import MinTokenPartitioner
 from repro.workloads import sample_queries
 
@@ -60,8 +61,8 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("mode", ["mmap", "lazy"])
     def test_answers_match_memory_load(self, saved, shards, mode):
         _, directory = saved[shards]
-        memory = load_sharded(directory)
-        loaded = load_sharded(directory, mode=mode)
+        memory = repro.load(directory)
+        loaded = repro.load(directory, mode=mode)
         queries = str_queries(memory, 8)
         for tokens in queries:
             assert memory.knn(tokens, k=5).matches == loaded.knn(tokens, k=5).matches
@@ -74,8 +75,8 @@ class TestModeEquivalence:
     def test_batches_bit_identical(self, saved, mode):
         from repro.core.engine import as_query_record
 
-        memory, directory = load_sharded(saved[4][1]), saved[4][1]
-        loaded = load_sharded(directory, mode=mode)
+        memory, directory = repro.load(saved[4][1]), saved[4][1]
+        loaded = repro.load(directory, mode=mode)
         queries = [
             as_query_record(loaded.dataset, tokens) for tokens in str_queries(memory, 6)
         ]
@@ -95,7 +96,7 @@ class TestModeEquivalence:
         engine.remove(11)
         save_sharded(engine, tmp_path / "idx")
         for mode in ("memory", "mmap", "lazy"):
-            loaded = load_sharded(tmp_path / "idx", mode=mode)
+            loaded = repro.load(tmp_path / "idx", mode=mode)
             assert loaded.removed == engine.removed, mode
             native = engine.tokens_of(3)
             assert 3 not in loaded.knn([str(t) for t in native], k=5).indices()
@@ -104,7 +105,7 @@ class TestModeEquivalence:
 class TestLaziness:
     def test_tgms_build_on_demand_with_lru_eviction(self, saved):
         _, directory = saved[8]
-        loaded = load_sharded(directory, mode="lazy", max_resident_shards=2)
+        loaded = repro.load(directory, mode="lazy", max_resident_shards=2)
         assert loaded.is_lazy
         tgms = loaded.tgms
         assert isinstance(tgms, LazyShardTGMs)
@@ -115,8 +116,8 @@ class TestLaziness:
         assert len(tgms.resident()) <= 2  # ... but residency stays bounded
 
     def test_answers_identical_even_with_capacity_one(self, saved):
-        memory, (_, directory) = load_sharded(saved[8][1]), saved[8]
-        loaded = load_sharded(directory, mode="lazy", max_resident_shards=1)
+        memory, (_, directory) = repro.load(saved[8][1]), saved[8]
+        loaded = repro.load(directory, mode="lazy", max_resident_shards=1)
         for tokens in str_queries(memory, 5):
             assert memory.knn(tokens, k=4).matches == loaded.knn(tokens, k=4).matches
         assert memory.join(0.5).pairs == loaded.join(0.5).pairs
@@ -127,8 +128,8 @@ class TestLaziness:
         shared LRU (build/evict/build) and must stay exact and crash-free."""
         from repro.core.engine import as_query_record
 
-        memory, directory = load_sharded(saved[8][1]), saved[8][1]
-        loaded = load_sharded(directory, mode="lazy", max_resident_shards=1)
+        memory, directory = repro.load(saved[8][1]), saved[8][1]
+        loaded = repro.load(directory, mode="lazy", max_resident_shards=1)
         queries = [
             as_query_record(loaded.dataset, tokens) for tokens in str_queries(memory, 10)
         ]
@@ -145,7 +146,7 @@ class TestLaziness:
         assert answers == [reference] * 12
 
     def test_lazy_engine_is_read_only(self, saved):
-        loaded = load_sharded(saved[4][1], mode="lazy")
+        loaded = repro.load(saved[4][1], mode="lazy")
         with pytest.raises(ValueError, match="read-only|lazily loaded"):
             loaded.insert(["anything"])
         with pytest.raises(ValueError, match="read-only|lazily loaded"):
@@ -153,8 +154,8 @@ class TestLaziness:
 
     def test_summary_without_forcing_builds(self, saved):
         """Group counts and sizes come from the manifests, not TGM builds."""
-        memory, directory = load_sharded(saved[8][1]), saved[8][1]
-        loaded = load_sharded(directory, mode="lazy")
+        memory, directory = repro.load(saved[8][1]), saved[8][1]
+        loaded = repro.load(directory, mode="lazy")
         assert loaded.num_groups == memory.num_groups
         assert loaded.shard_sizes() == memory.shard_sizes()
         assert len(loaded.tgms.resident()) == 0
@@ -162,12 +163,12 @@ class TestLaziness:
     def test_mmap_mode_still_mutable(self, dataset, tmp_path):
         engine = build_sharded(dataset, 2)
         save_sharded(engine, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx", mode="mmap")
+        loaded = repro.load(tmp_path / "idx", mode="mmap")
         index, shard_id, _ = loaded.insert(["zz-new", "zz-also-new"])
         assert loaded.knn(["zz-new", "zz-also-new"], k=1).matches == [(index, 1.0)]
         # The insert went to the delta log, so a reload (any mode)
         # serves the new record too.
-        reloaded = load_sharded(tmp_path / "idx", mode="mmap")
+        reloaded = repro.load(tmp_path / "idx", mode="mmap")
         assert reloaded.knn(["zz-new", "zz-also-new"], k=1).matches == [(index, 1.0)]
 
 
@@ -182,11 +183,11 @@ class TestShardedRefusals:
         top = json.loads((legacy / "manifest.json").read_text())
         top.pop("dataset_bin_digest", None)
         (legacy / "manifest.json").write_text(json.dumps(top, indent=2) + "\n")
-        memory = load_sharded(legacy)
+        memory = repro.load(legacy)
         assert memory.num_shards == 1  # memory mode unaffected
         for mode in ("mmap", "lazy"):
             with pytest.raises(PersistenceError, match="saved before format v3"):
-                load_sharded(legacy, mode=mode)
+                repro.load(legacy, mode=mode)
 
     def test_header_manifest_shard_count_mismatch(self, dataset, tmp_path):
         """A dataset.bin from a different save must not pair with this manifest."""
@@ -201,8 +202,8 @@ class TestShardedRefusals:
             (tmp_path / "other" / "dataset.bin").read_bytes()
         )
         with pytest.raises(PersistenceError, match="different saves"):
-            load_sharded(tmp_path / "idx", mode="mmap")
+            repro.load(tmp_path / "idx", mode="mmap")
 
     def test_unknown_mode(self, saved):
         with pytest.raises(ValueError, match="unknown load mode"):
-            load_sharded(saved[1][1], mode="laser")
+            repro.load(saved[1][1], mode="laser")

@@ -1,6 +1,6 @@
 """Sharded persistence: save/load round trips and corruption detection.
 
-The lifecycle contract: ``save_sharded`` → ``load_sharded`` reproduces a
+The lifecycle contract: ``save_sharded`` → ``repro.load`` reproduces a
 ``ShardedLES3`` that answers knn/range/join bit-identically to the engine
 that was saved — at any shard count, deletes included — and any corrupt
 or partial save raises :class:`PersistenceError` instead of loading a
@@ -14,10 +14,11 @@ import shutil
 
 import pytest
 
-from repro.core import LES3, Dataset, PersistenceError, load_engine, save_engine
+import repro
+from repro.core import LES3, Dataset, PersistenceError, save_engine
 from repro.datasets import zipf_dataset
-from repro.distributed import ShardedLES3, load_sharded, save_sharded
-from repro.distributed.persistence import shard_dir_name
+from repro.distributed import ShardedLES3, save_sharded
+from repro.core.persistence import shard_dir_name
 from repro.partitioning import MinTokenPartitioner
 from repro.workloads import sample_queries
 
@@ -71,7 +72,7 @@ class TestRoundTrip:
     def test_bit_identical_at_every_shard_count(self, dataset, tmp_path, shards):
         engine = build_sharded(dataset, shards)
         save_sharded(engine, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        loaded = repro.load(tmp_path / "idx")
         assert loaded.num_shards == engine.num_shards
         assert loaded.shard_sizes() == engine.shard_sizes()
         assert_same_answers(engine, loaded, sample_queries(dataset, 8, seed=2))
@@ -82,7 +83,7 @@ class TestRoundTrip:
         for record_index in (3, 57, 120, 198):
             engine.remove(record_index)
         save_sharded(engine, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        loaded = repro.load(tmp_path / "idx")
         assert loaded.removed == engine.removed
         assert loaded.shard_sizes() == engine.shard_sizes()
         assert_same_answers(engine, loaded, sample_queries(dataset, 8, seed=3))
@@ -94,7 +95,7 @@ class TestRoundTrip:
         engine.remove(10)
         engine.remove(44)
         save_sharded(engine, tmp_path / "idx")  # same directory, new state
-        loaded = load_sharded(tmp_path / "idx")
+        loaded = repro.load(tmp_path / "idx")
         assert loaded.removed == engine.removed
         assert_same_answers(engine, loaded, sample_queries(dataset, 6, seed=4))
 
@@ -102,7 +103,7 @@ class TestRoundTrip:
         engine = build_sharded(dataset, 4, strategy="size")
         engine.verify = "scalar"
         save_sharded(engine, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        loaded = repro.load(tmp_path / "idx")
         assert loaded.placement == "size"
         assert loaded.verify == "scalar"
         assert loaded.measure.name == "jaccard"
@@ -113,7 +114,7 @@ class TestRoundTrip:
         sharded = ShardedLES3.from_engine(single, 3)
         assert sharded.removed == {7: 0}
         save_sharded(sharded, tmp_path / "idx")
-        loaded = load_sharded(tmp_path / "idx")
+        loaded = repro.load(tmp_path / "idx")
         assert loaded.removed == {7: 0}
         assert loaded.placement == "lpt"
         assert single.join(0.6).pairs == loaded.join(0.6).pairs
@@ -123,7 +124,7 @@ class TestRoundTrip:
         assert (tmp_path / "idx" / shard_dir_name(7)).is_dir()
         save_sharded(build_sharded(dataset, 2), tmp_path / "idx")
         assert not (tmp_path / "idx" / shard_dir_name(7)).exists()
-        assert load_sharded(tmp_path / "idx").num_shards == 2
+        assert repro.load(tmp_path / "idx").num_shards == 2
 
     def test_save_attaches_the_delta_log(self, dataset, tmp_path):
         engine = build_sharded(dataset, 3)
@@ -138,7 +139,7 @@ class TestRoundTrip:
         save_sharded(engine, tmp_path / "idx")
         index, shard_id, _ = engine.insert(["delta-only", "tokens"])
         engine.remove(2)
-        reloaded = load_sharded(tmp_path / "idx")
+        reloaded = repro.load(tmp_path / "idx")
         assert reloaded.knn(["delta-only", "tokens"], k=1).matches == [(index, 1.0)]
         assert reloaded.removed == engine.removed
         assert reloaded._delta.num_ops == 2
@@ -156,7 +157,7 @@ class TestCorruptionDetection:
         manifest = saved / shard_dir_name(1) / "manifest.json"
         manifest.write_text(manifest.read_text()[: len(manifest.read_text()) // 2])
         with pytest.raises(PersistenceError, match="digest mismatch"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_truncated_shard_manifest_with_matching_digest(self, saved):
         """Even a digest-consistent truncation fails as a clear JSON error."""
@@ -165,17 +166,17 @@ class TestCorruptionDetection:
         manifest.write_text(manifest.read_text()[:25])
         top_path = saved / "manifest.json"
         top = json.loads(top_path.read_text())
-        from repro.distributed.persistence import _shard_digest
+        from repro.core.persistence import _shard_digest
 
         top["shards"][1]["digest"] = _shard_digest(shard_dir)
         top_path.write_text(json.dumps(top))
         with pytest.raises(PersistenceError, match="not valid JSON"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_missing_shard_subdirectory(self, saved):
         shutil.rmtree(saved / shard_dir_name(2))
         with pytest.raises(PersistenceError, match="missing shard subdirectory"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_shard_count_mismatch(self, saved):
         top_path = saved / "manifest.json"
@@ -183,7 +184,7 @@ class TestCorruptionDetection:
         top["num_shards"] = 5
         top_path.write_text(json.dumps(top))
         with pytest.raises(PersistenceError, match="shard count mismatch"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_tampered_groups(self, saved):
         groups_path = saved / shard_dir_name(0) / "groups.json"
@@ -191,7 +192,7 @@ class TestCorruptionDetection:
         groups[0] = groups[0][1:]
         groups_path.write_text(json.dumps(groups))
         with pytest.raises(PersistenceError, match="digest mismatch"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_groups_not_covering_despite_matching_digest(self, saved):
         """Coverage is checked globally even when every digest is honest."""
@@ -202,12 +203,12 @@ class TestCorruptionDetection:
         groups_path.write_text(json.dumps(groups))
         top_path = saved / "manifest.json"
         top = json.loads(top_path.read_text())
-        from repro.distributed.persistence import _shard_digest
+        from repro.core.persistence import _shard_digest
 
         top["shards"][0]["digest"] = _shard_digest(shard_dir)
         top_path.write_text(json.dumps(top))
         with pytest.raises(PersistenceError, match="cover"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_tampered_dataset(self, saved):
         """Editing dataset.txt (same record count) must not load silently."""
@@ -216,7 +217,7 @@ class TestCorruptionDetection:
         lines[0] = "totally different tokens"
         data_path.write_text("\n".join(lines) + "\n")
         with pytest.raises(PersistenceError, match="dataset.txt digest"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_shard_verify_mismatch_despite_matching_digest(self, saved):
         """The top-level verify mode rules; a disagreeing shard is corrupt."""
@@ -226,12 +227,12 @@ class TestCorruptionDetection:
         (shard_dir / "manifest.json").write_text(json.dumps(manifest))
         top_path = saved / "manifest.json"
         top = json.loads(top_path.read_text())
-        from repro.distributed.persistence import _shard_digest
+        from repro.core.persistence import _shard_digest
 
         top["shards"][2]["digest"] = _shard_digest(shard_dir)
         top_path.write_text(json.dumps(top))
         with pytest.raises(PersistenceError, match="verify"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_unsupported_sharded_format_version(self, saved):
         top_path = saved / "manifest.json"
@@ -239,27 +240,17 @@ class TestCorruptionDetection:
         top["sharded_format_version"] = 99
         top_path.write_text(json.dumps(top))
         with pytest.raises(PersistenceError, match="format version"):
-            load_sharded(saved)
+            repro.load(saved)
 
     def test_truncated_top_level_manifest(self, saved):
         top_path = saved / "manifest.json"
         top_path.write_text(top_path.read_text()[:40])
         with pytest.raises(PersistenceError, match="not valid JSON"):
-            load_sharded(saved)
-
-    def test_load_engine_rejects_sharded_dir_with_pointer(self, saved):
-        with pytest.raises(PersistenceError, match="load_sharded"):
-            load_engine(saved)
-
-    def test_load_sharded_rejects_single_engine_dir(self, dataset, tmp_path):
-        single = LES3.build(dataset, num_groups=8, partitioner=MinTokenPartitioner())
-        save_engine(single, tmp_path / "single")
-        with pytest.raises(PersistenceError, match="load_engine"):
-            load_sharded(tmp_path / "single")
+            repro.load(saved)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_sharded(tmp_path / "nope")
+            repro.load(tmp_path / "nope")
 
     def test_duplicate_tombstone_across_shards(self, saved):
         """A record tombstoned by two shards is corruption, not a delete."""
@@ -276,9 +267,9 @@ class TestCorruptionDetection:
         manifest = json.loads((other_dir / "manifest.json").read_text())
         manifest["deleted"] = [11]
         (other_dir / "manifest.json").write_text(json.dumps(manifest))
-        from repro.distributed.persistence import _shard_digest
+        from repro.core.persistence import _shard_digest
 
         top["shards"][other]["digest"] = _shard_digest(other_dir)
         (saved / "manifest.json").write_text(json.dumps(top))
         with pytest.raises(PersistenceError, match="more than one shard"):
-            load_sharded(saved)
+            repro.load(saved)

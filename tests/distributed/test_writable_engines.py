@@ -19,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.core import LES3, Dataset
 from repro.core.delta import DELTA_LOG
-from repro.core.persistence import PersistenceError, load_engine, save_engine
+from repro.core.persistence import PersistenceError, save_engine
 from repro.datasets import zipf_dataset
-from repro.distributed import ShardedLES3, load_sharded, save_sharded
+from repro.distributed import ShardedLES3, save_sharded
 from repro.partitioning import MinTokenPartitioner
 from repro.storage import MappedColumnarView
 
@@ -59,7 +60,7 @@ def sharded_dir(dataset, tmp_path):
 
 class TestMmapMutation:
     def test_insert_lands_in_tail_not_in_mapped_base(self, engine_dir):
-        engine = load_engine(engine_dir, mode="mmap")
+        engine = repro.load(engine_dir, mode="mmap")
         view = engine.dataset._columnar
         assert isinstance(view, MappedColumnarView)
         base_tokens = view._tokens
@@ -77,13 +78,13 @@ class TestMmapMutation:
         assert view._nnz > base_nnz
 
     def test_mmap_mutations_are_durable(self, engine_dir):
-        engine = load_engine(engine_dir, mode="mmap")
+        engine = repro.load(engine_dir, mode="mmap")
         index, _ = engine.insert(["mmap-durable-x", "mmap-durable-y"])
         engine.remove(3)
         assert (engine_dir / DELTA_LOG).exists()
 
         for mode in ("memory", "mmap"):
-            reloaded = load_engine(engine_dir, mode=mode)
+            reloaded = repro.load(engine_dir, mode=mode)
             assert sorted(reloaded.tokens_of(index)) == [
                 "mmap-durable-x", "mmap-durable-y",
             ]
@@ -92,12 +93,12 @@ class TestMmapMutation:
             assert reloaded.knn(query, 5).matches == engine.knn(query, 5).matches
 
     def test_sharded_mmap_mutation_durable(self, sharded_dir):
-        engine = load_sharded(sharded_dir, mode="mmap")
+        engine = repro.load(sharded_dir, mode="mmap")
         index, shard, _group = engine.insert(["shard-mmap-a", "shard-mmap-b"])
         engine.remove(5)
         expected = engine.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches
         assert (sharded_dir / DELTA_LOG).exists()
-        reloaded = load_sharded(sharded_dir, mode="mmap")
+        reloaded = repro.load(sharded_dir, mode="mmap")
         assert reloaded.knn(["shard-mmap-a", "shard-mmap-b"], 3).matches == expected
         assert 5 in reloaded.removed
         assert reloaded._shard_of[index] == shard
@@ -105,23 +106,23 @@ class TestMmapMutation:
 
 class TestLazyIsReadOnly:
     def test_insert_raises_persistence_error(self, sharded_dir):
-        engine = load_sharded(sharded_dir, mode="lazy")
+        engine = repro.load(sharded_dir, mode="lazy")
         with pytest.raises(PersistenceError, match="lazily loaded.*mode='mmap'"):
             engine.insert(["lazy-a", "lazy-b"])
 
     def test_remove_raises_persistence_error(self, sharded_dir):
-        engine = load_sharded(sharded_dir, mode="lazy")
+        engine = repro.load(sharded_dir, mode="lazy")
         with pytest.raises(PersistenceError, match="read-only|lazily loaded"):
             engine.remove(0)
 
     def test_refusal_leaves_engine_and_save_untouched(self, sharded_dir):
-        engine = load_sharded(sharded_dir, mode="lazy")
+        engine = repro.load(sharded_dir, mode="lazy")
         before = engine.knn(engine.tokens_of(0), 4).matches
         with pytest.raises(PersistenceError):
             engine.insert(["lazy-c"])
         assert engine.knn(engine.tokens_of(0), 4).matches == before
         assert not (sharded_dir / DELTA_LOG).exists()
-        assert len(load_sharded(sharded_dir).removed) == 0
+        assert len(repro.load(sharded_dir).removed) == 0
 
 
 class TestNeverSavedDegrade:
@@ -130,7 +131,7 @@ class TestNeverSavedDegrade:
     def test_engine_survives_deleted_generation(self, engine_dir):
         import shutil
 
-        engine = load_engine(engine_dir)
+        engine = repro.load(engine_dir)
         shutil.rmtree(engine_dir)
         index, _ = engine.insert(["orphan-a", "orphan-b"])
         assert engine._delta is None  # degraded to never-saved
@@ -139,7 +140,7 @@ class TestNeverSavedDegrade:
     def test_sharded_survives_deleted_generation(self, sharded_dir):
         import shutil
 
-        engine = load_sharded(sharded_dir)
+        engine = repro.load(sharded_dir)
         shutil.rmtree(sharded_dir)
         index, _shard, _group = engine.insert(["orphan-c", "orphan-d"])
         assert engine._delta is None  # degraded to never-saved
@@ -148,7 +149,7 @@ class TestNeverSavedDegrade:
 
 def test_mapped_base_tokens_stay_memmap_backed(engine_dir):
     """The insert must not silently materialize the base into RAM."""
-    engine = load_engine(engine_dir, mode="mmap")
+    engine = repro.load(engine_dir, mode="mmap")
     view = engine.dataset._columnar
     engine.insert(["still-mapped"])
     base = view._tokens

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.core import LES3, Dataset
-from repro.core.persistence import _load_engine, save_engine
+from repro.core.persistence import save_engine
 from repro.datasets import zipf_dataset
-from repro.distributed.persistence import _load_sharded, save_sharded
+from repro.distributed import save_sharded
 from repro.distributed.sharded import ShardedLES3
 from repro.partitioning import MinTokenPartitioner
 
@@ -99,7 +100,7 @@ class TestSingleEngineDeltaOracle:
         )
         directory = tmp_path / f"{measure}-{mode}"
         save_engine(built, directory)
-        engine = _load_engine(directory, mode=mode)
+        engine = repro.load(directory, mode=mode)
         mutate(engine)
         assert engine._delta.num_ops == len(INSERTS) + len(REMOVALS)
         oracle = rebuilt_oracle(token_lists, measure)
@@ -113,10 +114,10 @@ class TestSingleEngineDeltaOracle:
         )
         directory = tmp_path / "replayed"
         save_engine(built, directory)
-        mutate(_load_engine(directory))
+        mutate(repro.load(directory))
         oracle = rebuilt_oracle(token_lists, "jaccard")
         for mode in ("memory", "mmap"):
-            engine = _load_engine(directory, mode=mode)
+            engine = repro.load(directory, mode=mode)
             assert_matches_oracles(engine, oracle, queries_for(engine))
 
 
@@ -142,7 +143,7 @@ class TestShardedDeltaOracle:
         directory = self.saved_sharded(
             token_lists, tmp_path, shards=shards, strategy=strategy
         )
-        engine = _load_sharded(directory)
+        engine = repro.load(directory)
         mutate(engine)
         oracle = rebuilt_oracle(token_lists, "jaccard")
         assert_matches_oracles(engine, oracle, queries_for(engine))
@@ -151,15 +152,15 @@ class TestShardedDeltaOracle:
     def test_every_load_mode_replays_the_delta(self, token_lists, tmp_path, mode):
         """A reload must replay exactly the pending ops, not serve the stale base."""
         directory = self.saved_sharded(token_lists, tmp_path)
-        mutate(_load_sharded(directory))
-        engine = _load_sharded(directory, mode=mode)
+        mutate(repro.load(directory))
+        engine = repro.load(directory, mode=mode)
         oracle = rebuilt_oracle(token_lists, "jaccard")
         assert_matches_oracles(engine, oracle, queries_for(engine))
 
     @pytest.mark.parametrize("measure", ["cosine", "containment"])
     def test_measures(self, token_lists, tmp_path, measure):
         directory = self.saved_sharded(token_lists, tmp_path, measure=measure)
-        engine = _load_sharded(directory, mode="mmap")
+        engine = repro.load(directory, mode="mmap")
         mutate(engine)
         oracle = rebuilt_oracle(token_lists, measure)
         assert_matches_oracles(engine, oracle, queries_for(engine))

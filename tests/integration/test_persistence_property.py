@@ -22,7 +22,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from repro.core import LES3, Dataset, load_engine, save_engine
+import repro
+from repro.core import LES3, Dataset, save_engine
 from repro.partitioning import MinTokenPartitioner
 
 token = st.integers(min_value=0, max_value=60).map(lambda t: f"t{t}")
@@ -61,7 +62,7 @@ class RoundTripModel(RuleBasedStateMachine):
         engine = self.engine
         with tempfile.TemporaryDirectory() as tmp:
             save_engine(engine, Path(tmp) / "index")
-            loaded = load_engine(Path(tmp) / "index")
+            loaded = repro.load(Path(tmp) / "index")
             assert loaded.removed == engine.removed
             assert loaded.verify == engine.verify
             assert len(loaded.dataset) == len(engine.dataset)
@@ -72,7 +73,7 @@ class RoundTripModel(RuleBasedStateMachine):
             assert loaded.join(threshold).pairs == engine.join(threshold).pairs
             # Saving the loaded engine round-trips again (save is stable).
             save_engine(loaded, Path(tmp) / "index2")
-            reloaded = load_engine(Path(tmp) / "index2")
+            reloaded = repro.load(Path(tmp) / "index2")
             assert reloaded.removed == engine.removed
             assert reloaded.join(threshold).pairs == engine.join(threshold).pairs
 
@@ -121,8 +122,8 @@ class TextVsBinaryModel(RuleBasedStateMachine):
     def text_and_binary_loads_agree(self, queries, threshold, k):
         with tempfile.TemporaryDirectory() as tmp:
             save_engine(self.engine, Path(tmp) / "index")
-            from_text = load_engine(Path(tmp) / "index", mode="memory")
-            from_binary = load_engine(Path(tmp) / "index", mode="mmap")
+            from_text = repro.load(Path(tmp) / "index", mode="memory")
+            from_binary = repro.load(Path(tmp) / "index", mode="mmap")
             assert from_binary.removed == from_text.removed
             assert from_binary.verify == from_text.verify
             for query in queries:

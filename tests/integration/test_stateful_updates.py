@@ -28,10 +28,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+import repro
 from repro.core import LES3, Dataset
 from repro.core.delta import DELTA_LOG
-from repro.core.persistence import _load_engine, save_engine
-from repro.distributed.persistence import _load_sharded, save_sharded
+from repro.core.persistence import save_engine
+from repro.distributed import save_sharded
 from repro.distributed.sharded import ShardedLES3
 from repro.maintenance import compact_index
 from repro.partitioning import MinTokenPartitioner
@@ -155,7 +156,7 @@ class SingleEngineDeltaMachine(_DeltaMachineBase):
         save_engine(self.engine, self.directory)
 
     def _load(self, mode):
-        return _load_engine(self.directory, mode=mode)
+        return repro.load(self.directory, mode=mode)
 
     def _removed(self):
         return self.engine.removed
@@ -175,7 +176,7 @@ class ShardedDeltaMachine(_DeltaMachineBase):
         save_sharded(self.engine, self.directory)
 
     def _load(self, mode):
-        return _load_sharded(self.directory, mode=mode)
+        return repro.load(self.directory, mode=mode)
 
     def _removed(self):
         return self.engine.removed

