@@ -17,8 +17,7 @@ these rules keep them fixed:
 ``RL203``
     Dispatching per-shard work to an executor without a
     :func:`repro.testing.faults.fault_point` in the function.  Every
-    shard fan-out must be chaos-testable, or degraded mode silently
-    loses coverage as code evolves.
+    shard fan-out must be chaos-testable.
 """
 
 from __future__ import annotations

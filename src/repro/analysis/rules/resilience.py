@@ -42,9 +42,8 @@ _RENAME_CALLS = frozenset(
     {"os.rename", "os.replace", "os.renames", "shutil.move", "shutil.copytree"}
 )
 
-#: Exception names whose capture-and-continue is forbidden; the alias
-#: ``_FATAL_ERRORS`` is the repo's canonical tuple of exactly these.
-_FATAL_NAMES = frozenset({"PersistenceError", "DeadlineExceeded", "_FATAL_ERRORS"})
+#: Exception names whose capture-and-continue is forbidden.
+_FATAL_NAMES = frozenset({"PersistenceError", "DeadlineExceeded"})
 
 
 @rule(
@@ -108,7 +107,7 @@ def _inside_loop(context: FileContext, node: ast.AST) -> bool:
     code="RL302",
     name="retried-fatal-error",
     summary="PersistenceError/DeadlineExceeded caught in a loop without re-raise",
-    invariant="fatal errors are never retried, degraded, or fallen back on",
+    invariant="fatal errors are never retried or fallen back on",
     scope=("repro/",),
 )
 def check_retried_fatal_error(context: FileContext) -> Iterator[Finding]:

@@ -35,7 +35,7 @@ from typing import Callable, Hashable, Sequence, Union
 
 from repro.core.columnar import VERIFY_MODES
 from repro.core.delta import DeltaSegment
-from repro.core.engine import DEGRADED_MODES, LES3, as_query_record
+from repro.core.engine import LES3, as_query_record
 from repro.core.metrics import QueryStats
 from repro.core.persistence import read_generation
 from repro.core.resilience import Deadline
@@ -192,12 +192,10 @@ class QueryRequest:
     and :func:`execute`: a kind (``"knn"``, ``"range"``, or ``"join"``),
     the query tokens (except for joins, which run over the indexed data),
     the kind's own parameter (``k`` / ``threshold``), and the uniform
-    ``verify`` override (``None`` = the engine's default).  Two
-    robustness knobs ride along: ``timeout_ms`` (a
-    per-request deadline; the service maps an expired one to HTTP 504)
-    and ``degraded`` (``"strict"``, the default, demands bit-identical
-    answers or an exception; ``"partial"`` accepts answers from the
-    healthy shards, with the failed ones reported back).
+    ``verify`` override (``None`` = the engine's default).  One
+    robustness knob rides along: ``timeout_ms`` (a per-request deadline;
+    the service maps an expired one to HTTP 504).  The answer is the
+    exact one or an exception — there is no partial result.
 
     Use the constructors — they validate eagerly, so a malformed request
     fails where it is built (e.g. at the server's admission edge), not
@@ -223,7 +221,6 @@ class QueryRequest:
     threshold: float | None = None
     verify: str | None = None
     timeout_ms: int | None = None
-    degraded: str | None = None
 
     @classmethod
     def knn(
@@ -232,7 +229,6 @@ class QueryRequest:
         k: int,
         verify: str | None = None,
         timeout_ms: int | None = None,
-        degraded: str | None = None,
     ) -> "QueryRequest":
         """A k-nearest-neighbours request over external query tokens."""
         if not tokens:
@@ -241,7 +237,7 @@ class QueryRequest:
             raise ValueError(f"k must be a positive integer, got {k!r}")
         request = cls(
             kind="knn", tokens=tuple(tokens), k=k, verify=verify,
-            timeout_ms=timeout_ms, degraded=degraded,
+            timeout_ms=timeout_ms,
         )
         request._check_modes()
         return request
@@ -253,7 +249,6 @@ class QueryRequest:
         threshold: float,
         verify: str | None = None,
         timeout_ms: int | None = None,
-        degraded: str | None = None,
     ) -> "QueryRequest":
         """A range request: all sets within ``threshold`` of the tokens."""
         if not tokens:
@@ -261,7 +256,7 @@ class QueryRequest:
         threshold = _checked_threshold(threshold, low=0.0)
         request = cls(
             kind="range", tokens=tuple(tokens), threshold=threshold,
-            verify=verify, timeout_ms=timeout_ms, degraded=degraded,
+            verify=verify, timeout_ms=timeout_ms,
         )
         request._check_modes()
         return request
@@ -272,13 +267,12 @@ class QueryRequest:
         threshold: float,
         verify: str | None = None,
         timeout_ms: int | None = None,
-        degraded: str | None = None,
     ) -> "QueryRequest":
         """A similarity self-join of the indexed data (no query tokens)."""
         threshold = _checked_threshold(threshold, low=0.0, low_open=True)
         request = cls(
             kind="join", threshold=threshold, verify=verify,
-            timeout_ms=timeout_ms, degraded=degraded,
+            timeout_ms=timeout_ms,
         )
         request._check_modes()
         return request
@@ -287,10 +281,6 @@ class QueryRequest:
         if self.verify is not None and self.verify not in VERIFY_MODES:
             raise ValueError(
                 f"unknown verify mode {self.verify!r}; expected one of {VERIFY_MODES}"
-            )
-        if self.degraded is not None and self.degraded not in DEGRADED_MODES:
-            raise ValueError(
-                f"unknown degraded mode {self.degraded!r}; expected one of {DEGRADED_MODES}"
             )
         if self.timeout_ms is not None:
             if (
@@ -307,18 +297,18 @@ class QueryRequest:
         """Build a validated request from a JSON-shaped dict (the HTTP body).
 
         ``payload`` carries ``tokens`` (list of strings), ``k`` or
-        ``threshold``, and optionally ``verify`` / ``timeout_ms`` /
-        ``degraded``.  Unknown keys are rejected so client typos fail
-        loudly instead of being silently ignored.
+        ``threshold``, and optionally ``verify`` / ``timeout_ms``.
+        Unknown keys are rejected so client typos fail loudly instead of
+        being silently ignored.
         """
         if kind not in QUERY_KINDS:
             raise ValueError(f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}")
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         allowed = {
-            "knn": {"tokens", "k", "verify", "timeout_ms", "degraded"},
-            "range": {"tokens", "threshold", "verify", "timeout_ms", "degraded"},
-            "join": {"threshold", "verify", "timeout_ms", "degraded"},
+            "knn": {"tokens", "k", "verify", "timeout_ms"},
+            "range": {"tokens", "threshold", "verify", "timeout_ms"},
+            "join": {"threshold", "verify", "timeout_ms"},
         }[kind]
         unknown = set(payload) - allowed
         if unknown:
@@ -329,7 +319,6 @@ class QueryRequest:
         modes = {
             "verify": payload.get("verify"),
             "timeout_ms": payload.get("timeout_ms"),
-            "degraded": payload.get("degraded"),
         }
         if kind == "join":
             return cls.join(_payload_threshold(payload), **modes)
@@ -375,13 +364,8 @@ class QueryResult:
     stats: QueryStats = field(default_factory=QueryStats)
 
     def to_payload(self) -> dict:
-        """A JSON-safe dict: the service's response body.
-
-        A query answered in ``degraded="partial"`` mode with one or more
-        shards down additionally carries a top-level ``failed_shards``
-        list, so clients can tell a complete answer from a degraded one.
-        """
-        payload = {
+        """A JSON-safe dict: the service's response body."""
+        return {
             "kind": self.kind,
             "matches": [list(match) for match in self.matches],
             "count": len(self.matches),
@@ -391,10 +375,6 @@ class QueryResult:
                 "groups_pruned": self.stats.groups_pruned,
             },
         }
-        failed_shards = self.stats.extra.get("failed_shards")
-        if failed_shards:
-            payload["failed_shards"] = list(failed_shards)
-        return payload
 
 
 @dataclass(frozen=True)
@@ -559,12 +539,12 @@ def execute(
     """Run one request against either engine kind.
 
     Thanks to the aligned query signatures this is a straight dispatch;
-    ``verify``/``degraded`` overrides pass through unchanged
-    (``None`` falls back to the engine's defaults).  The request's
-    ``timeout_ms`` becomes a :class:`~repro.core.resilience.Deadline`
-    starting *now*, unless the caller passes an explicit ``deadline``
-    (the query service does: its deadline starts at admission, so queue
-    time counts against the budget).  An expired deadline raises
+    the ``verify`` override passes through unchanged (``None`` falls back
+    to the engine's default).  The request's ``timeout_ms`` becomes a
+    :class:`~repro.core.resilience.Deadline` starting *now*, unless the
+    caller passes an explicit ``deadline`` (the query service does: its
+    deadline starts at admission, so queue time counts against the
+    budget).  An expired deadline raises
     :class:`~repro.core.resilience.DeadlineExceeded`.
 
     Examples
@@ -581,21 +561,17 @@ def execute(
     deadline = _request_deadline(request, deadline)
     if request.kind == "knn":
         result = engine.knn(
-            request.tokens, k=request.k, verify=request.verify,
-            deadline=deadline, degraded=request.degraded,
+            request.tokens, k=request.k, verify=request.verify, deadline=deadline
         )
         return QueryResult("knn", result.matches, result.stats)
     if request.kind == "range":
         result = engine.range(
             request.tokens, threshold=request.threshold, verify=request.verify,
-            deadline=deadline, degraded=request.degraded,
+            deadline=deadline,
         )
         return QueryResult("range", result.matches, result.stats)
     if request.kind == "join":
-        joined = engine.join(
-            request.threshold, verify=request.verify,
-            deadline=deadline, degraded=request.degraded,
-        )
+        joined = engine.join(request.threshold, verify=request.verify, deadline=deadline)
         return QueryResult("join", joined.pairs, joined.stats)
     raise ValueError(f"unknown query kind {request.kind!r}; expected one of {QUERY_KINDS}")
 
@@ -603,12 +579,9 @@ def execute(
 def _coalesce_key(request: QueryRequest) -> tuple[object, ...]:
     """Requests sharing this key can ride one batched kernel call."""
     if request.kind == "knn":
-        return ("knn", request.k, request.verify, request.timeout_ms, request.degraded)
+        return ("knn", request.k, request.verify, request.timeout_ms)
     if request.kind == "range":
-        return (
-            "range", request.threshold, request.verify,
-            request.timeout_ms, request.degraded,
-        )
+        return ("range", request.threshold, request.verify, request.timeout_ms)
     return None  # joins are whole-database operations; never coalesced
 
 
@@ -619,17 +592,16 @@ def execute_batch(
 ) -> list[QueryResult | WriteResult]:
     """Run many requests, coalescing compatible ones into the batch kernels.
 
-    kNN requests sharing ``(k, verify, timeout_ms, degraded)``
-    and range requests sharing the analogous key are interned together
-    and answered by one ``batch_knn_record`` / ``batch_range_record``
-    call — group scoring becomes one BLAS product for the whole
-    sub-batch instead of one scan per request.  Results come back in
-    request order and are bit-identical to running :func:`execute` per
-    request (asserted by the service's integration tests).  This is the
-    primitive ``repro serve``'s micro-batcher dispatches to.  An
-    explicit ``deadline`` (the service's, anchored at admission) bounds
-    every sub-batch; otherwise each sub-batch gets a deadline from its
-    shared ``timeout_ms``.
+    kNN requests sharing ``(k, verify, timeout_ms)`` and range requests
+    sharing the analogous key are interned together and answered by one
+    ``batch_knn_record`` / ``batch_range_record`` call — group scoring
+    becomes one BLAS product for the whole sub-batch instead of one scan
+    per request.  Results come back in request order and are
+    bit-identical to running :func:`execute` per request (asserted by the
+    service's integration tests).  This is the primitive ``repro
+    serve``'s micro-batcher dispatches to.  An explicit ``deadline`` (the
+    service's, anchored at admission) bounds every sub-batch; otherwise
+    each sub-batch gets a deadline from its shared ``timeout_ms``.
 
     The batch may also carry :class:`WriteRequest` entries.  All writes
     are applied first, in request order, so every query in the batch
@@ -657,17 +629,15 @@ def execute_batch(
             as_query_record(engine.dataset, requests[position].tokens)
             for position in positions
         ]
-        verify, degraded = key[2], key[4]
+        verify = key[2]
         batch_deadline = _request_deadline(requests[positions[0]], deadline)
         if kind == "knn":
             answers = engine.batch_knn_record(
-                records, key[1], verify=verify,
-                deadline=batch_deadline, degraded=degraded,
+                records, key[1], verify=verify, deadline=batch_deadline
             )
         else:
             answers = engine.batch_range_record(
-                records, key[1], verify=verify,
-                deadline=batch_deadline, degraded=degraded,
+                records, key[1], verify=verify, deadline=batch_deadline
             )
         for position, answer in zip(positions, answers):
             results[position] = QueryResult(kind, answer.matches, answer.stats)

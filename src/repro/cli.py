@@ -53,15 +53,10 @@ class _CliError(Exception):
     """A user-facing CLI argument/usage error (printed, exit code 1)."""
 
 
-def _add_robustness_flags(command) -> None:
+def _add_timeout_flag(command) -> None:
     command.add_argument(
         "--timeout-ms", type=int, default=None,
         help="per-query deadline in milliseconds (expired queries fail)",
-    )
-    command.add_argument(
-        "--degraded", default=None, choices=["strict", "partial"],
-        help="strict (default): exact answers or an error; "
-        "partial: answer from healthy shards, report the failed ones",
     )
 
 
@@ -113,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path (results are identical)",
     )
     _add_mode_flag(knn)
-    _add_robustness_flags(knn)
+    _add_timeout_flag(knn)
 
     range_cmd = commands.add_parser("range", help="all sets within a similarity threshold")
     range_cmd.add_argument("index", help="index directory (single-engine or sharded)")
@@ -125,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path (results are identical)",
     )
     _add_mode_flag(range_cmd)
-    _add_robustness_flags(range_cmd)
+    _add_timeout_flag(range_cmd)
 
     join = commands.add_parser("join", help="exact similarity self-join of the indexed data")
     join.add_argument("index", help="index directory (single-engine or sharded)")
@@ -137,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verification path; 'both' times each and reports the speedup",
     )
     _add_mode_flag(join)
-    _add_robustness_flags(join)
+    _add_timeout_flag(join)
 
     bench = commands.add_parser("bench", help="batch-query throughput of a built index")
     bench.add_argument("index", help="index directory (single-engine or sharded)")
@@ -302,17 +297,6 @@ def _print_matches(engine, matches) -> None:
         print(f"{similarity:.4f}\t#{record_index}\t{tokens}")
 
 
-def _print_degraded(result) -> None:
-    """Warn (stderr) when a partial-mode answer is missing shards."""
-    failed = result.stats.extra.get("failed_shards")
-    if failed:
-        shards = ", ".join(str(shard) for shard in failed)
-        print(
-            f"# WARNING: degraded answer — shard(s) {shards} failed and were skipped",
-            file=sys.stderr,
-        )
-
-
 def _load_query_engine(args):
     """Load either index kind, honouring ``--shards``/``--mode``.
 
@@ -401,8 +385,7 @@ def _cmd_knn(args) -> int:
         return 1
     try:
         request = QueryRequest.knn(
-            args.query.split(), k=args.k,
-            timeout_ms=args.timeout_ms, degraded=args.degraded,
+            args.query.split(), k=args.k, timeout_ms=args.timeout_ms
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -415,7 +398,6 @@ def _cmd_knn(args) -> int:
     try:
         result = execute(engine, request)
         _print_matches(engine, result.matches)
-        _print_degraded(result)
         print(
             f"# verified {result.stats.candidates_verified}/{len(engine.dataset)} sets, "
             f"pruned {result.stats.groups_pruned}/{engine.num_groups} groups",
@@ -434,7 +416,7 @@ def _cmd_range(args) -> int:
     try:
         request = QueryRequest.range(
             args.query.split(), threshold=args.threshold,
-            timeout_ms=args.timeout_ms, degraded=args.degraded,
+            timeout_ms=args.timeout_ms,
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -447,7 +429,6 @@ def _cmd_range(args) -> int:
     try:
         result = execute(engine, request)
         _print_matches(engine, result.matches)
-        _print_degraded(result)
         print(
             f"# {len(result.matches)} matches; verified "
             f"{result.stats.candidates_verified}/{len(engine.dataset)} sets",
@@ -470,8 +451,7 @@ def _cmd_join(args) -> int:
     try:
         requests = {
             mode: QueryRequest.join(
-                threshold=args.threshold, verify=mode,
-                timeout_ms=args.timeout_ms, degraded=args.degraded,
+                threshold=args.threshold, verify=mode, timeout_ms=args.timeout_ms
             )
             for mode in modes
         }
@@ -503,7 +483,6 @@ def _cmd_join(args) -> int:
             print(f"{similarity:.4f}\t#{x}\t#{y}")
         if args.limit and len(result.matches) > args.limit:
             print(f"... and {len(result.matches) - args.limit} more pairs")
-        _print_degraded(result)
         print(
             f"# {len(result.matches)} pairs; verified {result.stats.candidates_verified} "
             f"candidates, pruned {result.stats.groups_pruned}/"

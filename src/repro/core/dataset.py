@@ -10,6 +10,7 @@ space-separated tokens" format used by the public set-similarity benchmarks
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
@@ -101,6 +102,7 @@ class Dataset:
         self.universe = universe if universe is not None else TokenUniverse()
         self.records: list[SetRecord] = list(records)
         self._columnar = None
+        self._columnar_lock = threading.Lock()
         self._validate()
 
     def _validate(self) -> None:
@@ -175,6 +177,7 @@ class Dataset:
         view.dataset = dataset
         dataset.records = LazyRecords(view)
         dataset._columnar = view
+        dataset._columnar_lock = threading.Lock()
         return dataset
 
     def save(self, path: str | Path) -> None:
@@ -218,7 +221,9 @@ class Dataset:
             raise ValueError(
                 f"token id {record.tokens[-1]} outside universe of size {len(self.universe)}"
             )
-        self.records.append(record)
+        # _columnar_lock guards creating the CSR view, not the records:
+        # readers racing a writer are the caller's to exclude.
+        self.records.append(record)  # repro-lint: disable=RL202 -- writers are excluded by the caller
         return len(self.records) - 1
 
     def columnar(self) -> ColumnarView:
@@ -228,12 +233,16 @@ class Dataset:
         engine, all shards) and kept fresh incrementally: records appended
         after the view was built are synced in on the next use, and
         logical deletes need no maintenance (liveness is defined by group
-        membership, not by the layout).
+        membership, not by the layout).  First readers that race get the
+        same view: it is created under a lock, so the records are laid
+        out once.
         """
         from repro.core.columnar import ColumnarView
 
         if self._columnar is None:
-            self._columnar = ColumnarView(self)
+            with self._columnar_lock:
+                if self._columnar is None:
+                    self._columnar = ColumnarView(self)
         return self._columnar.sync()
 
     # -- statistics and sampling -------------------------------------------

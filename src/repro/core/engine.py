@@ -34,16 +34,7 @@ __all__ = [
     "LES3",
     "suggest_num_groups",
     "as_query_record",
-    "DEGRADED_MODES",
 ]
-
-#: Failure-handling modes of the query methods.  ``"strict"`` (the
-#: default) returns bit-identical answers or raises; ``"partial"`` lets a
-#: sharded engine answer from the healthy shards and report the failed
-#: ones in ``stats.extra["failed_shards"]``.  A single-node :class:`LES3`
-#: validates the keyword (signature parity) but has no shards to lose,
-#: so its answers are always complete.
-DEGRADED_MODES = ("strict", "partial")
 
 
 def suggest_num_groups(database_size: int) -> int:
@@ -186,20 +177,6 @@ class LES3:
     def _verify_mode(self, verify: str | None) -> str:
         return self.verify if verify is None else verify
 
-    def _resolve_degraded(self, degraded: str | None) -> str:
-        """Validate ``degraded`` for signature parity with ShardedLES3.
-
-        A single-node engine has no shards to lose, so both modes execute
-        identically and answers are always complete; an unknown mode is
-        still rejected, exactly like the sharded engine rejects it.
-        """
-        mode = "strict" if degraded is None else degraded
-        if mode not in DEGRADED_MODES:
-            raise ValueError(
-                f"unknown degraded mode {mode!r}; expected one of {DEGRADED_MODES}"
-            )
-        return mode
-
     @staticmethod
     def _check_deadline(deadline: Deadline | None) -> None:
         """Refuse to start work whose deadline has already passed."""
@@ -212,10 +189,8 @@ class LES3:
         k: int,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """kNN search over external tokens."""
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return knn_search(
             self.dataset, self.tgm, self._as_record(query_tokens), k,
@@ -228,10 +203,8 @@ class LES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """Range search over external tokens."""
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return range_search(
             self.dataset, self.tgm, self._as_record(query_tokens), threshold,
@@ -244,12 +217,10 @@ class LES3:
         k: int,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """kNN search with a pre-interned query record."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return knn_search(
             self.dataset, self.tgm, query, k, verify=self._verify_mode(verify)
@@ -261,12 +232,10 @@ class LES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """Range search with a pre-interned query record."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return range_search(
             self.dataset, self.tgm, query, threshold, verify=self._verify_mode(verify)
@@ -278,12 +247,10 @@ class LES3:
         k: int,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> list[SearchResult]:
         """kNN for every query (see :func:`repro.core.batch.batch_knn_search`)."""
         from repro.core.batch import batch_knn_search
 
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return batch_knn_search(
             self.dataset, self.tgm, queries, k, verify=self._verify_mode(verify)
@@ -295,12 +262,10 @@ class LES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> list[SearchResult]:
         """Range search for every query; one TGM scan for the whole batch."""
         from repro.core.batch import batch_range_search
 
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return batch_range_search(
             self.dataset, self.tgm, queries, threshold,
@@ -312,10 +277,8 @@ class LES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> JoinResult:
         """Exact similarity self-join: all pairs with ``Sim >= threshold``."""
-        self._resolve_degraded(degraded)
         self._check_deadline(deadline)
         return similarity_self_join(
             self.dataset, self.tgm, threshold, verify=self._verify_mode(verify)

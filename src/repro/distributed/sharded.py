@@ -44,12 +44,7 @@ from repro.core.batch import batch_covered_counts
 from repro.core.cache import LRUCache
 from repro.core.columnar import make_verifier
 from repro.core.dataset import Dataset
-from repro.core.engine import (
-    DEGRADED_MODES,
-    LES3,
-    as_query_record,
-    suggest_num_groups,
-)
+from repro.core.engine import LES3, as_query_record, suggest_num_groups
 from repro.core.join import (
     JoinResult,
     best_feasible_pair_bound,
@@ -59,7 +54,7 @@ from repro.core.join import (
 )
 from repro.core.metrics import QueryStats
 from repro.core.persistence import PersistenceError
-from repro.core.resilience import Deadline, DeadlineExceeded
+from repro.core.resilience import Deadline
 from repro.core.search import (
     SearchResult,
     finalize_result,
@@ -81,10 +76,6 @@ if TYPE_CHECKING:
     from repro.partitioning.base import Partitioner
 
 __all__ = ["ShardedLES3", "LazyShardTGMs"]
-
-# Errors ``degraded="partial"`` must never swallow: an integrity refusal
-# or an expired deadline is not a shard fault.
-_FATAL_ERRORS = (PersistenceError, DeadlineExceeded)
 
 
 def _build_concurrently(
@@ -520,14 +511,6 @@ class ShardedLES3:
     def _verify_mode(self, verify: str | None) -> str:
         return self.verify if verify is None else verify
 
-    def _resolve_degraded(self, degraded: str | None) -> str:
-        mode = "strict" if degraded is None else degraded
-        if mode not in DEGRADED_MODES:
-            raise ValueError(
-                f"unknown degraded mode {mode!r}; expected one of {DEGRADED_MODES}"
-            )
-        return mode
-
     # -- kNN ---------------------------------------------------------------
 
     def _gather_knn(
@@ -537,15 +520,12 @@ class ShardedLES3:
         bounds: np.ndarray,
         verify: str,
         deadline: Deadline | None = None,
-        degraded: str = "strict",
     ) -> SearchResult:
         """Scatter-gather kNN given precomputed shard bounds (exact).
 
         The verification kernel (its per-query token scatter) is built
         once and shared by every surviving shard's group visit.  The
-        deadline is checked at every shard boundary; ``degraded="partial"``
-        skips a shard whose execution fails (recorded in
-        ``stats.extra["failed_shards"]``) instead of raising.
+        deadline is checked at every shard boundary.
         """
         stats = QueryStats()
         order = sorted(range(self.num_shards), key=lambda s: (-bounds[s], s))
@@ -568,23 +548,13 @@ class ShardedLES3:
                 for rest in order[position:]:
                     stats.groups_pruned += self._num_groups_of(rest)
                 break
-            try:
-                fault_point("shard.exec", f"knn:shard={shard_id}")
-                tgm = self.tgms[shard_id]
-                group_bounds = query_group_bounds(tgm, query, stats)
-                knn_visit_groups(
-                    self.dataset, tgm, query, k, group_bounds, heap, stats,
-                    self.measure, zero_candidates, verifier,
-                )
-            except _FATAL_ERRORS:
-                raise
-            except Exception:
-                if degraded != "partial":
-                    raise
-                stats.extra.setdefault("failed_shards", []).append(shard_id)
-        failed = stats.extra.get("failed_shards")
-        if failed:
-            failed.sort()
+            fault_point("shard.exec", f"knn:shard={shard_id}")
+            tgm = self.tgms[shard_id]
+            group_bounds = query_group_bounds(tgm, query, stats)
+            knn_visit_groups(
+                self.dataset, tgm, query, k, group_bounds, heap, stats,
+                self.measure, zero_candidates, verifier,
+            )
         pad_zero_matches(heap, k, zero_candidates)
         return finalize_result(knn_heap_matches(heap), stats)
 
@@ -594,17 +564,14 @@ class ShardedLES3:
         k: int,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """kNN search with a pre-interned query record."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
         return self._gather_knn(
-            query, k, self.shard_bounds(query), self._verify_mode(verify),
-            deadline, degraded_mode,
+            query, k, self.shard_bounds(query), self._verify_mode(verify), deadline
         )
 
     def knn(
@@ -613,12 +580,11 @@ class ShardedLES3:
         k: int,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """kNN search over external tokens."""
         return self.knn_record(
             as_query_record(self.dataset, query_tokens), k,
-            verify=verify, deadline=deadline, degraded=degraded,
+            verify=verify, deadline=deadline,
         )
 
     def batch_knn_record(
@@ -627,18 +593,16 @@ class ShardedLES3:
         k: int,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> list[SearchResult]:
         """kNN for every query; shard scoring is one matrix product."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
         bound_rows = self._batch_shard_bound_rows(queries)
         verify = self._verify_mode(verify)
         return [
-            self._gather_knn(query, k, bound_rows[i], verify, deadline, degraded_mode)
+            self._gather_knn(query, k, bound_rows[i], verify, deadline)
             for i, query in enumerate(queries)
         ]
 
@@ -652,13 +616,10 @@ class ShardedLES3:
         verify: str,
         precomputed: dict[int, np.ndarray] | None = None,
         deadline: Deadline | None = None,
-        degraded: str = "strict",
     ) -> SearchResult:
         """Scatter-gather range search given precomputed shard bounds.
 
-        The deadline is checked at every shard boundary;
-        ``degraded="partial"`` records a failing shard in
-        ``stats.extra["failed_shards"]`` instead of raising.
+        The deadline is checked at every shard boundary.
         """
         stats = QueryStats()
         matches: list[tuple[int, float]] = []
@@ -669,27 +630,17 @@ class ShardedLES3:
             if bounds[shard_id] < threshold:
                 stats.groups_pruned += self._num_groups_of(shard_id)
                 continue
-            try:
-                fault_point("shard.exec", f"range:shard={shard_id}")
-                tgm = self.tgms[shard_id]
-                if precomputed is not None and shard_id in precomputed:
-                    group_bounds = precomputed[shard_id]
-                    stats.groups_scored += tgm.num_groups
-                else:
-                    group_bounds = query_group_bounds(tgm, query, stats)
-                range_collect_groups(
-                    self.dataset, tgm, query, threshold, group_bounds,
-                    matches, stats, self.measure, verifier,
-                )
-            except _FATAL_ERRORS:
-                raise
-            except Exception:
-                if degraded != "partial":
-                    raise
-                stats.extra.setdefault("failed_shards", []).append(shard_id)
-        failed = stats.extra.get("failed_shards")
-        if failed:
-            failed.sort()
+            fault_point("shard.exec", f"range:shard={shard_id}")
+            tgm = self.tgms[shard_id]
+            if precomputed is not None and shard_id in precomputed:
+                group_bounds = precomputed[shard_id]
+                stats.groups_scored += tgm.num_groups
+            else:
+                group_bounds = query_group_bounds(tgm, query, stats)
+            range_collect_groups(
+                self.dataset, tgm, query, threshold, group_bounds,
+                matches, stats, self.measure, verifier,
+            )
         return finalize_result(matches, stats)
 
     def range_record(
@@ -698,17 +649,15 @@ class ShardedLES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """Range search with a pre-interned query record."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
         return self._gather_range(
             query, threshold, self.shard_bounds(query), self._verify_mode(verify),
-            None, deadline, degraded_mode,
+            None, deadline,
         )
 
     def range(
@@ -717,12 +666,11 @@ class ShardedLES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> SearchResult:
         """Range search over external tokens."""
         return self.range_record(
             as_query_record(self.dataset, query_tokens), threshold,
-            verify=verify, deadline=deadline, degraded=degraded,
+            verify=verify, deadline=deadline,
         )
 
     def batch_range_record(
@@ -731,7 +679,6 @@ class ShardedLES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> list[SearchResult]:
         """Range search for every query.
 
@@ -742,7 +689,6 @@ class ShardedLES3:
         """
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
         bound_rows = self._batch_shard_bound_rows(queries)
@@ -763,8 +709,7 @@ class ShardedLES3:
         verify = self._verify_mode(verify)
         return [
             self._gather_range(
-                query, threshold, bound_rows[i], verify, per_query_bounds[i],
-                deadline, degraded_mode,
+                query, threshold, bound_rows[i], verify, per_query_bounds[i], deadline
             )
             for i, query in enumerate(queries)
         ]
@@ -776,7 +721,6 @@ class ShardedLES3:
         threshold: float,
         verify: str | None = None,
         deadline: Deadline | None = None,
-        degraded: str | None = None,
     ) -> JoinResult:
         """Exact similarity self-join over all shards (scatter-gather).
 
@@ -794,7 +738,6 @@ class ShardedLES3:
         shard count, placement, or per-shard partitioner.
         """
         mode = self._verify_mode(verify)
-        degraded_mode = self._resolve_degraded(degraded)
         if deadline is not None:
             deadline.check("before query execution")
         stats = QueryStats()
@@ -839,45 +782,26 @@ class ShardedLES3:
                     stats.groups_pruned += covered
                     continue
                 pair_tasks.append((s, t))
-        def run_self(s: int) -> JoinResult:
+        for s in self_tasks:
+            if deadline is not None:
+                deadline.check("join task")
             fault_point("shard.exec", f"join_self:shard={s}")
-            return similarity_self_join(
+            result = similarity_self_join(
                 self.dataset, self.tgms[s], threshold, verify=mode,
                 profiles=profiles[s],
             )
-
-        def run_between(s: int, t: int) -> JoinResult:
+            pairs.extend(result.pairs)
+            stats.merge(result.stats)
+        for s, t in pair_tasks:
+            if deadline is not None:
+                deadline.check("join task")
             fault_point("shard.exec", f"join_between:shard={s}")
-            return similarity_join_between(
+            result = similarity_join_between(
                 self.dataset, self.tgms[s], self.tgms[t], threshold, verify=mode,
                 profiles_a=profiles[s], profiles_b=profiles[t],
             )
-
-        runners = [
-            (lambda s=s: run_self(s)) for s in self_tasks
-        ] + [
-            (lambda s=s, t=t: run_between(s, t)) for s, t in pair_tasks
-        ]
-        # A failed within-shard task loses pairs of one shard; a failed
-        # cross-shard task loses pairs touching both of its shards.
-        task_shards = [{s} for s in self_tasks] + [{s, t} for s, t in pair_tasks]
-        failed_shards: set[int] = set()
-        for index, runner in enumerate(runners):
-            if deadline is not None:
-                deadline.check("join task")
-            try:
-                result = runner()
-            except _FATAL_ERRORS:
-                raise
-            except Exception:
-                if degraded_mode != "partial":
-                    raise
-                failed_shards.update(task_shards[index])
-            else:
-                pairs.extend(result.pairs)
-                stats.merge(result.stats)
-        if failed_shards:
-            stats.extra["failed_shards"] = sorted(failed_shards)
+            pairs.extend(result.pairs)
+            stats.merge(result.stats)
         pairs.sort()
         stats.result_size = len(pairs)
         return JoinResult(pairs, stats)

@@ -28,12 +28,11 @@ or from Python/tests with an ephemeral port::
     await server.ready()
 
 See ``docs/serving.md`` for the endpoint schemas, the batching/admission
-knobs, and deployment notes; ``benchmarks/bench_serve.py`` is the load
-generator that produces ``BENCH_serve.json``.
+knobs, and deployment notes.
 """
 
+from repro.core.resilience import Deadline, DeadlineExceeded
 from repro.serve.http import ReproServer, request_json, serve, wait_ready
-from repro.serve.resilience import Deadline, DeadlineExceeded
 from repro.serve.service import QueryService, ServiceOverloaded, ServiceStats
 
 __all__ = [

@@ -25,14 +25,12 @@ lazily loaded (read-only) index answers 400.
 
 Query bodies may also carry a ``verify`` override — the same canonical
 kwarg the Python API takes (:class:`repro.api.QueryRequest` validates it
-identically) — plus the robustness knobs ``timeout_ms``
-(per-request deadline, anchored at admission) and ``degraded``
-(``"strict"`` / ``"partial"``).  Responses are JSON; errors are JSON too
+identically) — plus ``timeout_ms`` (a per-request deadline, anchored at
+admission).  Responses are JSON; errors are JSON too
 (``{"error": ...}``) with conventional status codes: 400 malformed
 request, 404 unknown path, 405 wrong method, 413 oversized body, 503
 not-ready or overloaded (with ``Retry-After``), 504 deadline exceeded.
-See ``docs/operations.md`` for deadlines, degraded mode, and the
-graceful SIGTERM drain.
+See ``docs/operations.md`` for deadlines and the graceful SIGTERM drain.
 
 The server binds *before* the index is loaded: ``/healthz`` answers
 ``503 {"status": "loading"}`` until the engine is up, so orchestrators
@@ -571,7 +569,7 @@ async def _roundtrip(
     """Send one request on an open connection, read one JSON response.
 
     Exposed so load generators can keep a connection open and pipeline
-    request after request (see ``benchmarks/bench_serve.py``).
+    request after request.
     """
     body = json.dumps(payload).encode() if payload is not None else b""
     head = (

@@ -316,13 +316,13 @@ class TestRetriedFatalError:
         """
         assert codes(source) == ["RL302"]
 
-    def test_fatal_tuple_alias_fires(self):
+    def test_fatal_tuple_fires(self):
         source = """
         def pump(tasks):
             while tasks:
                 try:
                     tasks.pop()()
-                except _FATAL_ERRORS:
+                except (PersistenceError, DeadlineExceeded):
                     pass
         """
         assert codes(source) == ["RL302"]

@@ -8,20 +8,28 @@ checked against, stated against the real oracle — a single
 kind (kNN, range, batches, join), all five measures, S ∈ {1, 2, 4, 8},
 and every way an engine comes up (built in memory, or saved and loaded
 with ``mode="memory"|"mmap"|"lazy"``).  ``parallel`` itself is checked
-once, as the removed parameter it now is.
+once, as the removed parameter it now is — and so is ``degraded``, the
+option that let a sharded engine answer without a failed shard until
+PR 16: an answer is the exact one or an exception.
 """
 
 from __future__ import annotations
+
+import asyncio
+import importlib
 
 import pytest
 
 import repro
 from repro import Dataset, LES3
+from repro.api import QueryRequest, execute
+from repro.cli import main
 from repro.core.engine import as_query_record
 from repro.core.similarity import MEASURES
 from repro.datasets import zipf_dataset
 from repro.distributed import ShardedLES3, save_sharded
 from repro.partitioning import MinTokenPartitioner
+from repro.serve import ReproServer, request_json, wait_ready
 
 SHARD_COUNTS = (1, 2, 4, 8)
 LOADS = ("built", "memory", "mmap", "lazy")
@@ -169,3 +177,73 @@ class TestRemovedParameter:
     def test_engine_owns_nothing_to_close(self, brought_up):
         sharded = brought_up("jaccard", 2, "built")
         assert not hasattr(sharded, "close") and not hasattr(sharded, "__exit__")
+
+
+class TestRemovedDegraded:
+    """``degraded`` is gone from every layer: engines, requests, HTTP, CLI."""
+
+    def test_engine_methods_and_request_constructors(self, singles, brought_up, query_tokens):
+        tokens = query_tokens[0]
+        for engine in (singles["jaccard"], brought_up("jaccard", 2, "built")):
+            record = as_query_record(engine.dataset, tokens)
+            for call in (
+                lambda: engine.knn(tokens, 3, degraded="strict"),
+                lambda: engine.range(tokens, 0.5, degraded="strict"),
+                lambda: engine.knn_record(record, 3, degraded="strict"),
+                lambda: engine.range_record(record, 0.5, degraded="strict"),
+                lambda: engine.batch_knn_record([record], 3, degraded="partial"),
+                lambda: engine.batch_range_record([record], 0.5, degraded="partial"),
+                lambda: engine.join(0.5, degraded="partial"),
+            ):
+                with pytest.raises(TypeError, match="degraded"):
+                    call()
+        for build in (
+            lambda: QueryRequest.knn(tokens, k=1, degraded="strict"),
+            lambda: QueryRequest.range(tokens, threshold=0.5, degraded="strict"),
+            lambda: QueryRequest.join(threshold=0.5, degraded="partial"),
+        ):
+            with pytest.raises(TypeError, match="degraded"):
+                build()
+
+    def test_names_are_not_importable(self):
+        import repro.core.engine
+
+        assert not hasattr(repro.core.engine, "DEGRADED_MODES")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.resilience")
+
+    def test_http_field_cli_flag_and_payload_key(self, brought_up, query_tokens, tmp_path, capsys):
+        sharded = brought_up("jaccard", 2, "built")
+        directory = str(tmp_path / "idx")
+        save_sharded(sharded, directory)
+        tokens = query_tokens[0]
+
+        async def over_http():
+            server = ReproServer(directory, port=0)
+            await server.start()
+            await wait_ready(server.host, server.port)
+            try:
+                refused = await request_json(
+                    server.host, server.port, "POST", "/knn",
+                    {"tokens": ["a"], "k": 1, "degraded": "strict"},
+                )
+                answered = await request_json(
+                    server.host, server.port, "POST", "/knn", {"tokens": tokens, "k": 3}
+                )
+            finally:
+                await server.stop()
+            return refused, answered
+
+        (status, body), (ok, answer) = asyncio.run(over_http())
+        assert status == 400 and "unknown field(s) ['degraded']" in body["error"]
+        assert ok == 200 and "failed_shards" not in answer
+        for request in (
+            QueryRequest.knn(tokens, k=3),
+            QueryRequest.range(tokens, threshold=0.4),
+            QueryRequest.join(threshold=0.5),
+        ):
+            assert "failed_shards" not in execute(sharded, request).to_payload()
+        with pytest.raises(SystemExit) as usage:
+            main(["knn", directory, "--query", "t1", "-k", "1", "--degraded", "partial"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --degraded" in capsys.readouterr().err

@@ -1,11 +1,11 @@
-"""Shard execution under faults: degraded mode and deadlines.
+"""Shard execution under faults: the exact answer, or the exception.
 
 Shard work runs on the calling thread, one shard after another.  A
-shard whose execution fails raises in strict mode — which must stay
-bit-identical or raise, never silently drop a shard — and becomes
-``stats.extra["failed_shards"]`` under ``degraded="partial"``; a
-deadline is checked at every shard boundary and is never converted
-into a failed shard.
+shard whose execution fails raises out of the engine call — an answer is
+bit-identical to the single engine's or it is not returned — and the
+failed call leaves nothing behind: the same call repeated returns the
+pre-fault matches and ``QueryStats``.  A deadline is checked at every
+shard boundary.
 
 Faults are injected via :mod:`repro.testing.faults`.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import QueryRequest, execute, execute_batch
 from repro.core.resilience import Deadline, DeadlineExceeded
 from repro.datasets import zipf_dataset
 from repro.distributed import ShardedLES3
@@ -69,7 +70,31 @@ def shard_touching(engine, queries, shard_id):
     pytest.fail(f"no sample query dispatches shard {shard_id}")
 
 
-class TestDegradedMode:
+def external_tokens(dataset, query):
+    return [dataset.universe.token_of(token_id) for token_id in query.tokens]
+
+
+def _knn(tokens):
+    return QueryRequest.knn(tokens, k=40)
+
+
+def _range(tokens):
+    return QueryRequest.range(tokens, threshold=0.0)
+
+
+# The six ways a shard is reached: the detail prefix of its fault point,
+# and a call (engine, token lists) -> results that gets there.
+REACHES = {
+    "knn": ("knn:shard=", lambda e, ts: [execute(e, _knn(ts[0]))]),
+    "range": ("range:shard=", lambda e, ts: [execute(e, _range(ts[0]))]),
+    "batch_knn": ("knn:shard=", lambda e, ts: execute_batch(e, [_knn(t) for t in ts])),
+    "batch_range": ("range:shard=", lambda e, ts: execute_batch(e, [_range(t) for t in ts])),
+    "join_self": ("join_self:shard=", lambda e, ts: [execute(e, QueryRequest.join(0.2))]),
+    "join_between": ("join_between:shard=", lambda e, ts: [execute(e, QueryRequest.join(0.2))]),
+}
+
+
+class TestExactOrError:
     def test_strict_serial_raises_on_shard_failure(self, engine, queries):
         query = shard_touching(engine, queries, 0)
         plan = FaultPlan([FaultRule("shard.exec", match="knn:shard=0", times=-1)])
@@ -77,34 +102,27 @@ class TestDegradedMode:
             with pytest.raises(InjectedFault):
                 engine.knn_record(query, 5)
 
-    def test_partial_serial_reports_failed_shards(self, engine, queries):
-        query = shard_touching(engine, queries, 0)
-        plan = FaultPlan([FaultRule("shard.exec", match="knn:shard=0", times=-1)])
-        with armed(plan):
-            result = engine.knn_record(query, 5, degraded="partial")
-        assert result.stats.extra["failed_shards"] == [0]
-
-    def test_partial_batch_reports_failed_shards(self, engine, queries):
-        plan = FaultPlan([FaultRule("shard.exec", match="knn:shard=0", times=-1)])
-        healthy = engine.batch_knn_record(queries, 5)
-        with armed(plan):
-            partial = engine.batch_knn_record(queries, 5, degraded="partial")
-        flagged = [
-            i for i, r in enumerate(partial)
-            if r.stats.extra.get("failed_shards") == [0]
-        ]
-        assert flagged, "no query recorded the dead shard"
-        untouched = [
-            i for i, r in enumerate(partial) if "failed_shards" not in r.stats.extra
-        ]
-        for i in untouched:
-            assert partial[i].matches == healthy[i].matches
-
     def test_strict_batch_raises_on_shard_failure(self, engine, queries):
         plan = FaultPlan([FaultRule("shard.exec", match="knn:shard=0", times=-1)])
         with armed(plan):
             with pytest.raises(InjectedFault):
                 engine.batch_knn_record(queries, 5)
+
+    @pytest.mark.parametrize("reach", sorted(REACHES))
+    def test_fault_raises_and_leaves_nothing_behind(self, engine, dataset, queries, reach):
+        prefix, call = REACHES[reach]
+        tokens = [external_tokens(dataset, query) for query in queries]
+        before = call(engine, tokens)
+        # skip=1: one shard's work is already merged when the second fails.
+        rule = FaultRule("shard.exec", match=prefix, skip=1, times=-1)
+        with armed(FaultPlan([rule])):
+            with pytest.raises(InjectedFault, match=prefix):
+                call(engine, tokens)
+        assert rule.hits == 2 and rule.fired == 1
+        after = call(engine, tokens)
+        assert [r.matches for r in after] == [r.matches for r in before]
+        assert [r.stats for r in after] == [r.stats for r in before]
+        assert all(r.stats.extra == {} for r in after)
 
 
 class TestDeadlines:
@@ -120,15 +138,3 @@ class TestDeadlines:
         with armed(plan):
             with pytest.raises(DeadlineExceeded):
                 engine.knn_record(query, 5, deadline=Deadline(0.05))
-
-    def test_partial_mode_never_masks_deadlines(self, engine, queries):
-        # DeadlineExceeded is fatal: degraded mode must not convert an
-        # expired budget into failed_shards.
-        query = shard_touching(engine, queries, 0)
-        plan = FaultPlan(
-            [FaultRule("shard.exec", action="delay", delay_seconds=0.1, times=-1)]
-        )
-        with armed(plan):
-            with pytest.raises(DeadlineExceeded):
-                engine.knn_record(query, 5, degraded="partial",
-                                  deadline=Deadline(0.05))

@@ -209,3 +209,30 @@ def test_service_reads_after_a_write_at_concurrency_two():
         assert not isinstance(answer, Exception), answer
         assert answer.matches == engine.knn(read.tokens, 5, verify="scalar").matches
         assert answer.matches[0][1] == 1.0  # each probe is one of the inserted sets
+
+
+def test_first_readers_share_one_view():
+    """``Dataset.columnar()`` on a fresh dataset: two first readers, one layout.
+
+    Until PR 16 both readers saw ``_columnar is None``, each filled a view
+    of its own in full — they meet inside the tail read here — and one was
+    thrown away.
+    """
+    dataset = Dataset.from_token_lists(token_lists())
+    gate = gate_in_memory(dataset)
+    start = threading.Barrier(2)
+    views = []
+
+    def first_use() -> None:
+        start.wait(timeout=5)
+        views.append(dataset.columnar())
+
+    readers = [threading.Thread(target=first_use) for _ in range(2)]
+    for reader in readers:
+        reader.start()
+    for reader in readers:
+        reader.join(timeout=10)
+    assert not any(reader.is_alive() for reader in readers)
+    assert len(views) == 2 and views[0] is views[1] is dataset._columnar
+    assert gate.count == 1
+    assert_view_matches_records(dataset)

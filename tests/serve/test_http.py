@@ -20,6 +20,7 @@ from repro.api import QueryRequest, execute, load
 from repro.distributed import ShardedLES3, save_sharded
 from repro.serve import ReproServer, request_json, wait_ready
 from repro.serve.http import MAX_BODY_BYTES
+from repro.testing.faults import FaultPlan, FaultRule, armed
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,27 @@ def test_timeout_answers_504(single_dir, dataset):
             )
             assert stats["service"]["queries_timed_out"] == 1
             assert stats["service"]["timed_out_by_kind"] == {"knn": 1}
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+
+
+def test_shard_fault_is_a_500_and_the_next_answer_is_exact(sharded_dir, dataset):
+    async def main():
+        server = await _ready_server(sharded_dir)
+        host, port = server.host, server.port
+        body = {"tokens": _query(dataset, 0), "k": 5}
+        try:
+            status, before = await request_json(host, port, "POST", "/knn", body)
+            assert status == 200
+            with armed(FaultPlan([FaultRule("shard.exec", times=-1)])):
+                status, failed = await request_json(host, port, "POST", "/knn", body)
+            assert status == 500 and "shard.exec" in failed["error"]
+            status, stats = await request_json(host, port, "GET", "/stats")
+            assert stats["service"]["queries_failed"] == 1
+            status, after = await request_json(host, port, "POST", "/knn", body)
+            assert status == 200 and after == before
         finally:
             await server.stop()
 

@@ -178,8 +178,6 @@ def test_join_request_validates_eagerly():
 def test_request_mode_validation():
     with pytest.raises(ValueError, match="verify"):
         QueryRequest.knn(["a"], k=1, verify="quantum")
-    with pytest.raises(ValueError, match="degraded"):
-        QueryRequest.range(["a"], threshold=0.5, degraded="maybe")
 
 
 def test_requests_are_frozen():
@@ -306,7 +304,7 @@ def test_query_signatures_are_identical_across_engines(name):
 def test_query_methods_take_exactly_the_shared_options(name):
     for cls in (LES3, ShardedLES3):
         parameters = inspect.signature(getattr(cls, name)).parameters
-        assert list(parameters)[-3:] == ["verify", "deadline", "degraded"], (
+        assert list(parameters)[-2:] == ["verify", "deadline"], (
             f"{cls.__name__}.{name} options diverge"
         )
-        assert all(parameters[option].default is None for option in list(parameters)[-3:])
+        assert all(parameters[option].default is None for option in list(parameters)[-2:])
