@@ -162,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_mode_flag(serve_cmd)
     serve_cmd.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="how long the first request of a batch waits for company",
-    )
-    serve_cmd.add_argument(
         "--max-batch", type=int, default=64,
         help="largest micro-batch dispatched to the engine (1 = no batching)",
     )
@@ -175,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--concurrency", type=int, default=1,
-        help="batches allowed in flight on the executor simultaneously",
+        help="batches allowed in flight simultaneously (one engine thread each)",
     )
     serve_cmd.add_argument(
         "--default-timeout-ms", type=int, default=None,
@@ -680,9 +676,6 @@ def _cmd_serve(args) -> int:
         if value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
             return 1
-    if args.batch_window_ms < 0:
-        print("error: --batch-window-ms must be >= 0", file=sys.stderr)
-        return 1
     if args.drain_seconds < 0:
         print("error: --drain-seconds must be >= 0", file=sys.stderr)
         return 1
@@ -703,7 +696,6 @@ def _cmd_serve(args) -> int:
             port=args.port,
             mode=args.mode,
             verify=args.verify,
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             concurrency=args.concurrency,

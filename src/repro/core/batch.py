@@ -23,6 +23,7 @@ from repro.core.dataset import Dataset
 from repro.core.metrics import QueryStats
 from repro.core.search import (
     SearchResult,
+    count_group_scoring,
     finalize_result,
     knn_heap_matches,
     knn_visit_groups,
@@ -114,7 +115,7 @@ def batch_range_search(
     results = []
     for i, query in enumerate(queries):
         stats = QueryStats()
-        stats.groups_scored = tgm.num_groups
+        count_group_scoring(stats, tgm, query)
         bounds = measure.bounds_from_counts(counts[i], len(query))
         matches: list[tuple[int, float]] = []
         verifier = make_verifier(dataset, query, measure, verify)
@@ -146,7 +147,7 @@ def batch_knn_search(
     results = []
     for i, query in enumerate(queries):
         stats = QueryStats()
-        stats.groups_scored = tgm.num_groups
+        count_group_scoring(stats, tgm, query)
         bounds = measure.bounds_from_counts(counts[i], len(query))
         heap: list[tuple[float, int]] = []
         zero_candidates: list[list[int]] = []

@@ -62,6 +62,7 @@ __all__ = [
     "match_sort_key",
     "finalize_result",
     "query_group_bounds",
+    "count_group_scoring",
     "knn_visit_groups",
     "pad_zero_matches",
     "knn_heap_matches",
@@ -135,9 +136,19 @@ def query_group_bounds(
     known, weights, query_size = prepare_query(query, tgm.universe_size)
     bounds = tgm.upper_bounds(known, query_size, weights)
     if stats is not None:
-        stats.groups_scored += tgm.num_groups
-        stats.columns_visited += len(known) * tgm.num_groups
+        count_group_scoring(stats, tgm, query)
     return bounds
+
+
+def count_group_scoring(stats: QueryStats, tgm: TokenGroupMatrix, query: SetRecord) -> None:
+    """Account one scoring of ``tgm``: every group, one column per known token.
+
+    Batched scoring accounts each query here too, so its stats equal the
+    per-query path's.
+    """
+    known = sum(1 for token in query.distinct if token < tgm.universe_size)
+    stats.groups_scored += tgm.num_groups
+    stats.columns_visited += known * tgm.num_groups
 
 
 # Records per kernel call.  A tie class can hold most of the database; the

@@ -57,6 +57,7 @@ from repro.core.persistence import PersistenceError
 from repro.core.resilience import Deadline
 from repro.core.search import (
     SearchResult,
+    count_group_scoring,
     finalize_result,
     knn_heap_matches,
     knn_visit_groups,
@@ -634,7 +635,7 @@ class ShardedLES3:
             tgm = self.tgms[shard_id]
             if precomputed is not None and shard_id in precomputed:
                 group_bounds = precomputed[shard_id]
-                stats.groups_scored += tgm.num_groups
+                count_group_scoring(stats, tgm, query)
             else:
                 group_bounds = query_group_bounds(tgm, query, stats)
             range_collect_groups(

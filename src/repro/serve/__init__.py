@@ -6,9 +6,9 @@ HTTP service whose concurrent kNN/range requests are admission-controlled
 and micro-batched into the engine's batched BLAS kernels:
 
 * :class:`QueryService` (:mod:`repro.serve.service`) — admission bound
-  (503 + ``Retry-After`` beyond ``max_queue``), the micro-batcher
-  (``batch_window_ms`` / ``max_batch``) and the stats the ``/stats``
-  endpoint reports.
+  (503 + ``Retry-After`` beyond ``max_queue``), the timer-free
+  micro-batcher (up to ``max_batch``), its engine threads, and the
+  stats the ``/stats`` endpoint reports.
 * :class:`ReproServer` (:mod:`repro.serve.http`) — the dependency-free
   asyncio HTTP/1.1 front: ``POST /knn``, ``POST /range``, ``POST /join``,
   ``POST /insert``, ``POST /remove``, ``GET /healthz``, ``GET /stats``.

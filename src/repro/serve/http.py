@@ -105,11 +105,10 @@ class ReproServer:
     """One saved index behind an asyncio HTTP query service.
 
     The server owns the whole lifecycle: bind the socket, load the index
-    in a worker thread (readiness is ``/healthz``), run a
-    :class:`~repro.serve.service.QueryService` over it, and tear both
-    down cleanly.  Construct, then either ``await start()`` /
-    ``await serve_forever()`` / ``await stop()`` or use
-    :func:`serve` from synchronous code (the CLI does).
+    on the :class:`~repro.serve.service.QueryService`'s engine thread
+    (readiness is ``/healthz``), serve it, and tear both down cleanly.
+    Construct, then either ``await start()`` / ``await serve_forever()``
+    / ``await stop()`` or use :func:`serve` from synchronous code.
 
     Parameters mirror the ``repro serve`` flags; ``port=0`` binds an
     ephemeral port (see :attr:`port` after :meth:`start` — the
@@ -123,7 +122,6 @@ class ReproServer:
         port: int = 8722,
         mode: str = "memory",
         verify: str | None = None,
-        batch_window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 256,
         concurrency: int = 1,
@@ -139,7 +137,6 @@ class ReproServer:
         self.verify = verify
         self.drain_seconds = drain_seconds
         self._service_options = {
-            "batch_window_ms": batch_window_ms,
             "max_batch": max_batch,
             "max_queue": max_queue,
             "concurrency": concurrency,
@@ -168,20 +165,21 @@ class ReproServer:
         return self
 
     async def _bring_up(self) -> None:
+        service: QueryService | None = None
         try:
-            if self._preloaded is not None:
-                engine = self._preloaded
-            else:
-                engine = await asyncio.get_running_loop().run_in_executor(
-                    None,
-                    lambda: load(self.directory, mode=self.mode, verify=self.verify),
+            service = QueryService(self._preloaded, **self._service_options)
+            if service.engine is None:
+                await service.load(
+                    lambda: load(self.directory, mode=self.mode, verify=self.verify)
                 )
-            service = QueryService(engine, **self._service_options)
             await service.start()
-            self.engine = engine
+            self.engine = service.engine
             self.service = service
         except Exception as error:  # noqa: BLE001 - surfaced via /healthz + ready()
             self._load_error = error
+        finally:
+            if service is not None and self.service is not service:
+                await service.stop()  # failed or cancelled: free its engine thread
 
     async def ready(self) -> None:
         """Wait until the index is loaded (re-raises a failed load)."""
@@ -415,7 +413,6 @@ class ReproServer:
         if self.service is not None:
             service_stats = self.service.stats.snapshot()
             service_stats["queue_depth"] = self.service.queue_depth
-            service_stats["batch_window_ms"] = self.service.batch_window * 1000.0
             service_stats["max_batch"] = self.service.max_batch
             service_stats["max_queue"] = self.service.max_queue
             service_stats["default_timeout_ms"] = self.service.default_timeout_ms

@@ -9,15 +9,17 @@ trip through the engine; they flow through a :class:`QueryService`:
    :meth:`QueryService.submit` raises :class:`ServiceOverloaded` and the
    HTTP layer answers ``503`` with a ``Retry-After`` hint — the service
    degrades by shedding load, never by growing an unbounded backlog.
-2. **Micro-batching.**  Admitted requests sit in an asyncio queue for at
-   most ``batch_window_ms`` (or until ``max_batch`` of them are waiting;
-   with a window of 0 the batcher still drains whatever arrived while
-   the previous batch was executing — classic adaptive batching).  The
+2. **Micro-batching.**  Once the engine has room for another batch, the
+   dispatcher takes the next request and everything queued behind it
+   (up to ``max_batch``) and dispatches at once — no timer.  A lone
+   request on an idle service runs immediately; under load, batches
+   form from the requests that arrived while the engine was busy.  The
    batch is handed to :func:`repro.api.execute_batch`, which coalesces
    compatible kNN/range requests into the engine's batched BLAS kernels.
-3. **Execution.**  Engine work is CPU-bound, so batches run on a small
-   thread pool (``concurrency`` batches in flight at most, default 1 —
-   numpy releases the GIL inside BLAS).
+3. **Execution.**  Engine work is CPU-bound, so batches run on the
+   service's own ``concurrency`` long-lived threads (default 1 — numpy
+   releases the GIL inside BLAS); few fixed threads mean few glibc
+   malloc arenas, so the resident set stays flat.
 4. **Accounting.**  Every answered request feeds the service stats:
    queries served per kind, a batch-size histogram, and a latency
    reservoir from which ``/stats`` reports p50/p99.
@@ -33,9 +35,10 @@ import asyncio
 import contextlib
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.api import (
     Engine,
@@ -221,21 +224,17 @@ class QueryService:
 
     Parameters
     ----------
-    engine : LES3 or ShardedLES3
+    engine : LES3 or ShardedLES3, optional
         The loaded engine (any kind — the unified query API hides the
-        difference).
-    batch_window_ms : float, default 2.0
-        How long the first request of a batch waits for company before
-        the batch is dispatched.  0 disables the *timed* wait; requests
-        that queued while the previous batch was executing still
-        coalesce (set ``max_batch=1`` for strict one-request-per-call).
+        difference), or None to open one later with :meth:`load`.
     max_batch : int, default 64
-        Largest batch ever dispatched to the engine.
+        Largest batch ever dispatched to the engine (``max_batch=1`` for
+        strict one-request-per-call).
     max_queue : int, default 256
         Admission bound: maximum admitted-but-unanswered requests.
         Beyond it :meth:`submit` raises :class:`ServiceOverloaded`.
     concurrency : int, default 1
-        Batches allowed in flight on the executor simultaneously.
+        Batches in flight at once, each on its own engine thread.
     default_timeout_ms : int, optional
         Deadline applied to requests that do not carry their own
         ``timeout_ms``.  None (the default) means no implicit deadline.
@@ -243,27 +242,24 @@ class QueryService:
         Server-side cap: a request asking for a longer budget is clamped
         to this.  None means clients may ask for any budget.
 
-    Deadlines are anchored at **admission**, so time spent waiting in
-    the micro-batch queue counts against the budget.  An expired request
-    fails with :class:`~repro.core.resilience.DeadlineExceeded` (the
-    HTTP layer answers 504) and is counted in ``queries_timed_out`` —
-    never in the latency reservoir.
+    Deadlines are anchored at **admission**, so time spent queued behind
+    a busy engine counts against the budget.  An expired request fails
+    with :class:`~repro.core.resilience.DeadlineExceeded` (the HTTP
+    layer answers 504) and is counted in ``queries_timed_out`` — never
+    in the latency reservoir.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`.
     """
 
     def __init__(
         self,
-        engine: Engine,
-        batch_window_ms: float = 2.0,
+        engine: Engine | None = None,
         max_batch: int = 64,
         max_queue: int = 256,
         concurrency: int = 1,
         default_timeout_ms: int | None = None,
         max_timeout_ms: int | None = None,
     ) -> None:
-        if batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_queue < 1:
@@ -277,7 +273,6 @@ class QueryService:
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         self.engine = engine
-        self.batch_window = batch_window_ms / 1000.0
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.concurrency = concurrency
@@ -290,12 +285,27 @@ class QueryService:
         self._dispatcher: asyncio.Task | None = None
         self._batch_slots = asyncio.Semaphore(concurrency)
         self._batch_tasks: set[asyncio.Task] = set()
+        # Threads start on first use, so constructing a service is free.
+        self._executor = ThreadPoolExecutor(
+            max_workers=concurrency, thread_name_prefix="repro-engine"
+        )
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
+    async def load(self, open_engine: Callable[[], Engine]) -> None:
+        """Open the engine on the engine thread, where its batches will run.
+
+        Loading allocates the index; doing it on the thread that serves
+        it keeps the load and every batch in one malloc arena.
+        """
+        loop = asyncio.get_running_loop()
+        self.engine = await loop.run_in_executor(self._executor, open_engine)
+
     async def start(self) -> "QueryService":
         """Start the dispatcher loop (idempotent)."""
+        if self.engine is None:
+            raise RuntimeError("QueryService has no engine: pass one or load() it")
         if self._dispatcher is None:
             self.stats.started_at = time.time()
             self._dispatcher = asyncio.get_running_loop().create_task(
@@ -315,6 +325,8 @@ class QueryService:
             self._dispatcher = None
         for task in list(self._batch_tasks):
             task.cancel()
+        # A batch already on an engine thread finishes there; nothing waits for it.
+        self._executor.shutdown(wait=False, cancel_futures=True)
         while not self._queue.empty():
             pending = self._queue.get_nowait()
             if not pending.future.done():
@@ -411,37 +423,21 @@ class QueryService:
 
     # -- batching ----------------------------------------------------------
 
-    async def _collect_batch(self) -> list[_Pending]:
-        """Block for the first request, then gather company for it.
-
-        Whatever is already queued is drained immediately (up to
-        ``max_batch``); only then does the timed window wait for more.
-        Under load the queue is never empty when a batch closes, so the
-        window adds no latency — it only matters at low arrival rates.
-        """
-        batch = [await self._queue.get()]
-        while len(batch) < self.max_batch and not self._queue.empty():
-            batch.append(self._queue.get_nowait())
-        if self.batch_window > 0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-        return batch
-
     async def _dispatch_loop(self) -> None:
+        """Dispatch whatever is queued as soon as the engine has room.
+
+        The slot is taken *before* the requests, so whatever arrives while
+        every slot is busy leaves together in the next batch: the engine's
+        busy time is the only batching window, and an idle service
+        dispatches a lone request at once.
+        """
+        loop = asyncio.get_running_loop()
         while True:
-            batch = await self._collect_batch()
             await self._batch_slots.acquire()
-            task = asyncio.get_running_loop().create_task(self._run_batch(batch))
+            batch = [await self._queue.get()]
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            task = loop.create_task(self._run_batch(batch))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
@@ -459,7 +455,7 @@ class QueryService:
             return None
         return max(deadlines, key=lambda deadline: deadline.expires_at)
 
-    def _apply_writes(self, requests: list[WriteRequest]) -> list:
+    def _apply_writes(self, engine: Engine, requests: list[WriteRequest]) -> list:
         """Apply admitted writes in arrival order, engine held exclusively.
 
         Failures are captured per write (a bad remove must not fail the
@@ -470,28 +466,29 @@ class QueryService:
         with self._gate.exclusive():
             for request in requests:
                 try:
-                    outcomes.append(apply_write(self.engine, request))
+                    outcomes.append(apply_write(engine, request))
                 except Exception as error:  # noqa: BLE001 - forwarded per request
                     outcomes.append(error)
         return outcomes
 
     def _execute_queries(
-        self, requests: list[QueryRequest], deadline: Deadline | None
+        self, engine: Engine, requests: list[QueryRequest], deadline: Deadline | None
     ) -> list[QueryResult]:
         with self._gate.shared():
-            return execute_batch(self.engine, requests, deadline)
+            return execute_batch(engine, requests, deadline)
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         try:
             self.stats.record_batch(len(batch))
-            loop = asyncio.get_running_loop()
+            loop, engine = asyncio.get_running_loop(), self.engine
+            assert engine is not None  # start() refuses to run without one
             # Writes first, in admission order: queries admitted into the
             # same batch observe every write that was admitted before them.
             writes = [p for p in batch if isinstance(p.request, WriteRequest)]
             reads = [p for p in batch if not isinstance(p.request, WriteRequest)]
             if writes:
                 outcomes = await loop.run_in_executor(
-                    None, self._apply_writes, [p.request for p in writes]
+                    self._executor, self._apply_writes, engine, [p.request for p in writes]
                 )
                 finished = time.perf_counter()
                 for pending, outcome in zip(writes, outcomes):
@@ -515,7 +512,7 @@ class QueryService:
             deadline = self._batch_deadline(reads)
             try:
                 results = await loop.run_in_executor(
-                    None, self._execute_queries, requests, deadline
+                    self._executor, self._execute_queries, engine, requests, deadline
                 )
             except Exception as error:  # noqa: BLE001 - forwarded per request
                 timed_out = isinstance(error, DeadlineExceeded)

@@ -193,9 +193,9 @@ def test_service_reads_after_a_write_at_concurrency_two():
     reads = [QueryRequest.knn(tokens, k=5) for tokens in EXTRA[:8]]
 
     async def write_then_read() -> list:
-        async with QueryService(
-            engine, concurrency=2, max_batch=4, batch_window_ms=0
-        ) as service:
+        # The eight reads queue together, so they leave as two batches of
+        # four that run at once on the two engine threads.
+        async with QueryService(engine, concurrency=2, max_batch=4) as service:
             for tokens in EXTRA:
                 await service.submit(WriteRequest.insert(tokens))
             return await asyncio.gather(

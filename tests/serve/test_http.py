@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro import Dataset, LES3, __version__, save_engine
 from repro.api import QueryRequest, execute, load
 from repro.distributed import ShardedLES3, save_sharded
 from repro.serve import ReproServer, request_json, wait_ready
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve.http import MAX_BODY_BYTES, _roundtrip
 from repro.testing.faults import FaultPlan, FaultRule, armed
 
 
@@ -97,35 +98,132 @@ def test_server_is_bit_identical_to_direct_calls(
     asyncio.run(main())
 
 
-def test_concurrent_clients_batch_and_stay_correct(single_dir, dataset):
+def test_concurrent_clients_batch_and_stay_correct(
+    single_dir, dataset, engine_held, until
+):
     async def main():
-        server = await _ready_server(single_dir, batch_window_ms=10.0)
+        server = await _ready_server(single_dir)
         reference = load(single_dir)
+        service = server.service
         try:
             requests = [QueryRequest.knn(_query(dataset, i % 40), k=3) for i in range(48)]
 
-            async def one(req):
-                return await request_json(
+            def one(req):
+                return asyncio.ensure_future(request_json(
                     server.host,
                     server.port,
                     "POST",
                     "/knn",
                     {"tokens": list(req.tokens), "k": req.k},
-                )
+                ))
 
-            answers = await asyncio.gather(*(one(r) for r in requests))
+            # The first request takes the held engine; the other 47 queue
+            # behind it and leave as one batch once it is released.
+            with engine_held(service):
+                tasks = [one(requests[0])]
+                await until(lambda: service.stats.batches_dispatched == 1)
+                tasks += [one(r) for r in requests[1:]]
+                await until(lambda: service._queue.qsize() == 47)
+            answers = await asyncio.gather(*tasks)
             for req, (status, body) in zip(requests, answers):
                 assert status == 200
                 assert body == execute(reference, req).to_payload()
             status, stats = await request_json(server.host, server.port, "GET", "/stats")
-            service = stats["service"]
-            assert service["queries_served"] == 48
-            assert service["batches_dispatched"] < 48  # micro-batching engaged
-            assert service["mean_batch_size"] > 1.0
+            service_stats = stats["service"]
+            assert service_stats["queries_served"] == 48
+            assert service_stats["batch_size_histogram"] == {"1": 1, "47": 1}
+            assert service_stats["mean_batch_size"] == 24.0
         finally:
             await server.stop()
 
     asyncio.run(main())
+
+
+def test_sequential_requests_dispatch_alone(single_dir, dataset):
+    async def main():
+        server = await _ready_server(single_dir)
+        try:
+            for index in range(3):
+                status, _ = await request_json(
+                    server.host, server.port, "POST", "/knn",
+                    {"tokens": _query(dataset, index), "k": 3},
+                )
+                assert status == 200
+            status, stats = await request_json(server.host, server.port, "GET", "/stats")
+            assert stats["service"]["batch_size_histogram"] == {"1": 3}
+            assert "batch_window_ms" not in stats["service"]
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+
+
+class _ThreadRecordingEngine:
+    """Delegates to an engine, recording the thread of every method call."""
+
+    def __init__(self, engine, threads: set) -> None:
+        self._engine = engine
+        self._threads = threads
+
+    def __getattr__(self, name):
+        value = getattr(self._engine, name)
+        if not callable(value):
+            return value
+
+        def recorded(*args, **kwargs):
+            self._threads.add(threading.current_thread())
+            return value(*args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_engine_work_stays_on_the_engine_threads(
+    concurrency, dataset, tmp_path, monkeypatch
+):
+    """Load, reads and writes run on the service's ``concurrency`` threads.
+
+    Every thread that allocates gets its own malloc arena, so engine work
+    spread over a shared, growing pool grows the server's resident set.
+    """
+    directory = tmp_path / "index"
+    save_engine(LES3.build(dataset, num_groups=8), directory)
+    threads: set = set()
+
+    def recording_load(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return _ThreadRecordingEngine(load(*args, **kwargs), threads)
+
+    monkeypatch.setattr("repro.serve.http.load", recording_load)
+
+    async def lane(server, lane_id: int) -> None:
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            for step in range(26):
+                tokens = _query(dataset, (lane_id * 26 + step) % 160)
+                path, body = [
+                    ("/knn", {"tokens": tokens, "k": 3}),
+                    ("/range", {"tokens": tokens, "threshold": 0.5}),
+                    ("/insert", {"tokens": tokens + [f"new{lane_id}"]}),
+                ][step % 3]
+                status, _ = await _roundtrip(reader, writer, "POST", path, body)
+                assert status == 200
+        finally:
+            writer.close()
+
+    async def main():
+        server = await _ready_server(str(directory), concurrency=concurrency)
+        try:
+            await asyncio.gather(*(lane(server, lane_id) for lane_id in range(8)))
+            status, stats = await request_json(server.host, server.port, "GET", "/stats")
+            assert stats["service"]["queries_served"] == 8 * 26
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+    assert 1 <= len(threads) <= concurrency
+    # The service's own threads, not the event loop's shared default pool.
+    assert all(thread.name.startswith("repro-engine") for thread in threads)
 
 
 def test_healthz_reports_loading_then_ok(single_dir):
@@ -174,13 +272,14 @@ def test_load_failure_surfaces_in_healthz(tmp_path):
     asyncio.run(main())
 
 
-def test_saturation_answers_503_with_retry_after(single_dir, dataset):
+def test_saturation_answers_503_with_retry_after(
+    single_dir, dataset, engine_held, until
+):
     async def main():
-        # max_queue=1 plus a long batch window: the first request parks in
-        # the batcher and every concurrent one must be shed.
-        server = await _ready_server(
-            single_dir, batch_window_ms=300.0, max_queue=1
-        )
+        # max_queue=1 plus a busy engine: the first request holds the one
+        # slot while its batch waits, and every later one must be shed.
+        server = await _ready_server(single_dir, max_queue=1)
+        service = server.service
         try:
             tokens = _query(dataset, 0)
 
@@ -203,10 +302,13 @@ def test_saturation_answers_503_with_retry_after(single_dir, dataset):
                 headers, _, payload = raw.partition(b"\r\n\r\n")
                 return status, headers.decode("latin-1"), json.loads(payload)
 
-            results = await asyncio.gather(*(raw_roundtrip() for _ in range(6)))
+            with engine_held(service):
+                first = asyncio.ensure_future(raw_roundtrip())
+                await until(lambda: service.stats.batches_dispatched == 1)
+                shed = await asyncio.gather(*(raw_roundtrip() for _ in range(5)))
+            results = [await first, *shed]
             statuses = [status for status, _, _ in results]
-            assert 200 in statuses, statuses
-            assert 503 in statuses, statuses
+            assert statuses == [200, 503, 503, 503, 503, 503], statuses
             for status, headers, payload in results:
                 if status == 503:
                     assert "Retry-After:" in headers
@@ -294,6 +396,7 @@ def test_stats_endpoint_shape(sharded_dir):
             service = stats["service"]
             assert service["max_batch"] == 64 and service["max_queue"] == 256
             assert service["queue_depth"] == 0
+            assert "batch_window_ms" not in service
         finally:
             await server.stop()
 
@@ -328,21 +431,24 @@ def test_cli_has_a_serve_command():
     )
     assert args.command == "serve"
     assert args.port == 0 and args.mode == "lazy" and args.max_batch == 8
-    assert args.batch_window_ms == 2.0 and args.max_queue == 256
+    assert args.max_queue == 256 and not hasattr(args, "batch_window_ms")
+    with pytest.raises(SystemExit):  # the batching window is gone
+        build_parser().parse_args(["serve", "some-index", "--batch-window-ms", "2"])
 
 
 # -- deadlines, drain, and shutdown ------------------------------------------
 
 
-def test_timeout_answers_504(single_dir, dataset):
+def test_timeout_answers_504(single_dir, dataset, engine_held):
     async def main():
-        # Budget far below the batch window: the request expires queued.
-        server = await _ready_server(single_dir, batch_window_ms=200.0)
+        # The engine is busy past the budget: the request expires waiting.
+        server = await _ready_server(single_dir)
         try:
-            status, body = await request_json(
-                server.host, server.port, "POST", "/knn",
-                {"tokens": _query(dataset, 0), "k": 3, "timeout_ms": 10},
-            )
+            with engine_held(server.service):
+                status, body = await request_json(
+                    server.host, server.port, "POST", "/knn",
+                    {"tokens": _query(dataset, 0), "k": 3, "timeout_ms": 10},
+                )
             assert status == 504
             assert "budget" in body["error"]
             status, stats = await request_json(
@@ -377,16 +483,15 @@ def test_shard_fault_is_a_500_and_the_next_answer_is_exact(sharded_dir, dataset)
     asyncio.run(main())
 
 
-def test_server_default_timeout_applies(single_dir, dataset):
+def test_server_default_timeout_applies(single_dir, dataset, engine_held):
     async def main():
-        server = await _ready_server(
-            single_dir, batch_window_ms=200.0, default_timeout_ms=10
-        )
+        server = await _ready_server(single_dir, default_timeout_ms=10)
         try:
-            status, body = await request_json(
-                server.host, server.port, "POST", "/knn",
-                {"tokens": _query(dataset, 0), "k": 3},
-            )
+            with engine_held(server.service):
+                status, body = await request_json(
+                    server.host, server.port, "POST", "/knn",
+                    {"tokens": _query(dataset, 0), "k": 3},
+                )
             assert status == 504
         finally:
             await server.stop()
@@ -414,17 +519,23 @@ def test_stats_reports_timeout_knobs(single_dir):
     asyncio.run(main())
 
 
-def test_drain_finishes_in_flight_then_stops(single_dir, dataset):
+def test_drain_finishes_in_flight_then_stops(single_dir, dataset, engine_held, until):
     async def main():
-        server = await _ready_server(single_dir, batch_window_ms=200.0)
-        task = asyncio.ensure_future(
-            request_json(
-                server.host, server.port, "POST", "/knn",
-                {"tokens": _query(dataset, 0), "k": 3},
+        server = await _ready_server(single_dir)
+        service = server.service
+        with engine_held(service):
+            task = asyncio.ensure_future(
+                request_json(
+                    server.host, server.port, "POST", "/knn",
+                    {"tokens": _query(dataset, 0), "k": 3},
+                )
             )
-        )
-        await asyncio.sleep(0.05)  # parked in the batcher
-        await server.drain()
+            await until(lambda: service.stats.batches_dispatched == 1)
+            # The drain closes the socket, then waits on the in-flight batch.
+            draining = asyncio.ensure_future(server.drain())
+            await until(lambda: server._server is None or not server._server.is_serving())
+            assert not draining.done()
+        await draining
         status, body = await task
         assert status == 200 and body["count"] == 3  # in-flight work finished
         with pytest.raises(OSError):

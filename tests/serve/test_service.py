@@ -43,43 +43,83 @@ def test_submit_answers_bit_identically(engine):
     asyncio.run(main())
 
 
-def test_concurrent_requests_coalesce_into_batches(engine):
+async def _queue_behind_busy_engine(service, until, first, rest) -> list:
+    """Submit ``first``, let it take the (held) engine, then queue ``rest``.
+
+    Returns the submit tasks; they finish once the engine is released.
+    """
+    head = asyncio.ensure_future(service.submit(first))
+    await until(lambda: service.stats.batches_dispatched == 1)
+    tail = [asyncio.ensure_future(service.submit(request)) for request in rest]
+    await until(lambda: service._queue.qsize() == len(rest))
+    return [head, *tail]
+
+
+def test_idle_service_dispatches_each_request_at_once(engine):
     async def main():
-        # A generous window so every concurrently submitted request lands
-        # in one batch deterministically.
-        async with QueryService(engine, batch_window_ms=50.0, max_batch=64) as service:
+        async with QueryService(engine) as service:
+            for i in range(5):
+                request = QueryRequest.knn(_query(engine, i), k=3)
+                task = asyncio.ensure_future(service.submit(request))
+                # A handful of zero-length yields reach the engine: no timer
+                # stands between an idle service and its lone request.
+                for _ in range(10):
+                    if service.stats.batches_dispatched > i:
+                        break
+                    await asyncio.sleep(0)
+                assert service.stats.batches_dispatched == i + 1
+                assert (await task).matches == execute(engine, request).matches
+            assert service.stats.batch_sizes == {1: 5}
+
+    asyncio.run(main())
+
+
+def test_concurrent_requests_coalesce_into_batches(engine, engine_held, until):
+    async def main():
+        # Requests admitted while a batch holds the engine all leave
+        # together in the next batch.
+        async with QueryService(engine, max_batch=64) as service:
             requests = [QueryRequest.knn(_query(engine, i), k=3) for i in range(32)]
-            results = await asyncio.gather(*(service.submit(r) for r in requests))
+            with engine_held(service):
+                tasks = await _queue_behind_busy_engine(
+                    service, until, requests[0], requests[1:]
+                )
+            results = await asyncio.gather(*tasks)
             for request, result in zip(requests, results):
                 assert result.matches == execute(engine, request).matches
             assert service.stats.queries_served == 32
-            assert service.stats.batches_dispatched < 32  # really coalesced
-            assert max(service.stats.batch_sizes) > 1
+            assert service.stats.batch_sizes == {1: 1, 31: 1}
 
     asyncio.run(main())
 
 
-def test_max_batch_bounds_batch_size(engine):
+def test_max_batch_bounds_batch_size(engine, engine_held, until):
     async def main():
-        async with QueryService(engine, batch_window_ms=50.0, max_batch=4) as service:
+        async with QueryService(engine, max_batch=4) as service:
             requests = [QueryRequest.knn(_query(engine, i), k=3) for i in range(10)]
-            await asyncio.gather(*(service.submit(r) for r in requests))
-            assert max(service.stats.batch_sizes) <= 4
+            with engine_held(service):
+                tasks = await _queue_behind_busy_engine(
+                    service, until, requests[0], requests[1:]
+                )
+            await asyncio.gather(*tasks)
+            # The nine queued requests leave as 4 + 4 + 1.
+            assert service.stats.batch_sizes == {1: 2, 4: 2}
 
     asyncio.run(main())
 
 
-def test_admission_bound_sheds_load(engine):
+def test_admission_bound_sheds_load(engine, engine_held, until):
     async def main():
-        # One slot: the second in-flight request must be rejected with the
+        # One slot: while the first request holds it (its batch waits on
+        # the busy engine), the second must be rejected with the
         # Retry-After hint the HTTP layer forwards.
-        async with QueryService(engine, batch_window_ms=200.0, max_queue=1) as service:
-            first = asyncio.ensure_future(
-                service.submit(QueryRequest.knn(_query(engine, 0), k=3))
-            )
-            await asyncio.sleep(0)  # let it enter the queue
-            with pytest.raises(ServiceOverloaded) as caught:
-                await service.submit(QueryRequest.knn(_query(engine, 1), k=3))
+        async with QueryService(engine, max_queue=1) as service:
+            with engine_held(service):
+                (first,) = await _queue_behind_busy_engine(
+                    service, until, QueryRequest.knn(_query(engine, 0), k=3), []
+                )
+                with pytest.raises(ServiceOverloaded) as caught:
+                    await service.submit(QueryRequest.knn(_query(engine, 1), k=3))
             assert caught.value.retry_after >= 1
             assert service.stats.queries_rejected == 1
             assert (await first).matches  # the admitted one still completes
@@ -89,7 +129,7 @@ def test_admission_bound_sheds_load(engine):
 
 def test_engine_errors_fail_the_request_not_the_service(engine):
     async def main():
-        async with QueryService(engine, batch_window_ms=0.0) as service:
+        async with QueryService(engine) as service:
             bogus = QueryRequest(kind="fuzzy", tokens=("a",))
             with pytest.raises(ValueError, match="unknown query kind"):
                 await service.submit(bogus)
@@ -114,18 +154,29 @@ def test_submit_after_stop_is_a_connection_error(engine):
 
 def test_constructor_validates_knobs(engine):
     for kwargs in (
-        {"batch_window_ms": -1},
         {"max_batch": 0},
         {"max_queue": 0},
         {"concurrency": 0},
     ):
         with pytest.raises(ValueError):
             QueryService(engine, **kwargs)
+    with pytest.raises(TypeError):  # the batching window is gone, not ignored
+        QueryService(engine, batch_window_ms=2.0)
+
+
+def test_start_without_an_engine_is_refused():
+    async def main():
+        service = QueryService()
+        with pytest.raises(RuntimeError, match="no engine"):
+            await service.start()
+        await service.stop()
+
+    asyncio.run(main())
 
 
 def test_stats_snapshot_shape(engine):
     async def main():
-        async with QueryService(engine, batch_window_ms=20.0) as service:
+        async with QueryService(engine) as service:
             await asyncio.gather(
                 *(
                     service.submit(QueryRequest.knn(_query(engine, i), k=2))
@@ -164,76 +215,87 @@ def test_empty_stats_are_json_safe():
 # -- deadlines ----------------------------------------------------------------
 
 
-def test_timeout_expires_queued_request(engine):
+def test_timeout_expires_queued_request(engine, engine_held, until):
     from repro.serve import DeadlineExceeded
 
     async def main():
-        # A long batch window so the 10ms budget expires while the
-        # request is still queued — deterministic, no slow engine needed.
-        async with QueryService(engine, batch_window_ms=150.0) as service:
+        # The 10ms budget runs out while the request is queued behind a
+        # batch that holds the busy engine: the deadline is anchored at
+        # admission, so queue time counts.
+        async with QueryService(engine) as service:
             request = QueryRequest.knn(_query(engine, 0), k=3, timeout_ms=10)
-            with pytest.raises(DeadlineExceeded, match="budget"):
-                await service.submit(request)
+            with engine_held(service):
+                blocker, queued = await _queue_behind_busy_engine(
+                    service, until, QueryRequest.knn(_query(engine, 1), k=3), [request]
+                )
+                with pytest.raises(DeadlineExceeded, match="budget"):
+                    await queued
             assert service.stats.queries_timed_out == 1
             assert service.stats.timed_out_by_kind == {"knn": 1}
-            # The whole batch expired before dispatch, so the engine never
-            # ran it: no served answers, and the reservoir stays clean.
-            await asyncio.sleep(0.3)
-            assert service.stats.queries_served == 0
-            assert service.stats.latencies == []
-
-    asyncio.run(main())
-
-
-def test_late_result_is_counted_and_kept_out_of_reservoir(engine):
-    from repro.serve import DeadlineExceeded
-
-    async def main():
-        # Two requests with the same 100ms budget, admitted 150ms apart
-        # inside one 200ms batch window: the batch runs on the *most
-        # patient* member's deadline, so the early request expires (504)
-        # while the late one is served — and the early one's wasted
-        # answer lands in ``late_results``, not the latency reservoir.
-        async with QueryService(engine, batch_window_ms=200.0) as service:
-            early = QueryRequest.knn(_query(engine, 0), k=3, timeout_ms=100)
-            late = QueryRequest.knn(_query(engine, 1), k=3, timeout_ms=100)
-            first = asyncio.ensure_future(service.submit(early))
-            await asyncio.sleep(0.15)
-            second = asyncio.ensure_future(service.submit(late))
-            with pytest.raises(DeadlineExceeded):
-                await first
-            result = await second
-            assert result.matches == execute(engine, late).matches
-            assert service.stats.queries_timed_out == 1
-            assert service.stats.late_results == 1
+            await blocker
+            # The expired request's batch fails its deadline check before
+            # the engine does any work: only the blocker was served, and
+            # the reservoir holds its latency alone.
+            await until(lambda: service.stats.batches_dispatched == 2)
+            await until(lambda: not service._batch_tasks)
             assert service.stats.queries_served == 1
+            assert service.stats.late_results == 0
             assert len(service.stats.latencies) == 1
 
     asyncio.run(main())
 
 
-def test_default_timeout_applies_to_bare_requests(engine):
+def test_late_result_is_counted_and_kept_out_of_reservoir(engine, engine_held, until):
     from repro.serve import DeadlineExceeded
 
     async def main():
-        async with QueryService(
-            engine, batch_window_ms=150.0, default_timeout_ms=10
-        ) as service:
-            with pytest.raises(DeadlineExceeded):
+        # Two requests queue into one batch behind the busy engine: an
+        # early one with a short budget that expires in the queue (504),
+        # and a late, patient one.  The batch runs on its *most patient*
+        # member's deadline, so the late request is served — and the
+        # early one's wasted answer lands in ``late_results``, not the
+        # latency reservoir.
+        async with QueryService(engine) as service:
+            early = QueryRequest.knn(_query(engine, 0), k=3, timeout_ms=20)
+            late = QueryRequest.knn(_query(engine, 1), k=3, timeout_ms=60_000)
+            with engine_held(service):
+                blocker, first = await _queue_behind_busy_engine(
+                    service, until, QueryRequest.knn(_query(engine, 2), k=3), [early]
+                )
+                with pytest.raises(DeadlineExceeded):
+                    await first
+                second = asyncio.ensure_future(service.submit(late))
+                await until(lambda: service._queue.qsize() == 2)
+            await blocker
+            result = await second
+            assert result.matches == execute(engine, late).matches
+            assert service.stats.batch_sizes == {1: 1, 2: 1}
+            assert service.stats.queries_timed_out == 1
+            assert service.stats.late_results == 1
+            assert service.stats.queries_served == 2  # the blocker and late
+            assert len(service.stats.latencies) == 2
+
+    asyncio.run(main())
+
+
+def test_default_timeout_applies_to_bare_requests(engine, engine_held):
+    from repro.serve import DeadlineExceeded
+
+    async def main():
+        async with QueryService(engine, default_timeout_ms=10) as service:
+            with engine_held(service), pytest.raises(DeadlineExceeded):
                 await service.submit(QueryRequest.knn(_query(engine, 0), k=3))
 
     asyncio.run(main())
 
 
-def test_max_timeout_caps_client_budgets(engine):
+def test_max_timeout_caps_client_budgets(engine, engine_held):
     from repro.serve import DeadlineExceeded
 
     async def main():
-        async with QueryService(
-            engine, batch_window_ms=150.0, max_timeout_ms=10
-        ) as service:
+        async with QueryService(engine, max_timeout_ms=10) as service:
             request = QueryRequest.knn(_query(engine, 0), k=3, timeout_ms=60_000)
-            with pytest.raises(DeadlineExceeded):
+            with engine_held(service), pytest.raises(DeadlineExceeded):
                 await service.submit(request)
 
     asyncio.run(main())

@@ -14,6 +14,7 @@ Covers the PR-6 API redesign contract:
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -251,6 +252,9 @@ def test_execute_batch_is_bit_identical_to_execute(engine_fixture, request):
         requests.append(QueryRequest.knn(tokens, k=3))
         requests.append(QueryRequest.knn(tokens, k=7))  # second coalesce bucket
         requests.append(QueryRequest.range(tokens, threshold=0.5))
+        # Unseen tokens count towards |Q| but visit no TGM column.
+        requests.append(QueryRequest.knn(tokens + ["unseen"], k=3))
+        requests.append(QueryRequest.range(tokens + ["unseen"], threshold=0.3))
     requests.append(QueryRequest.join(threshold=0.9))
     requests.append(QueryRequest.knn(_tokens(dataset, 1), k=3, verify="scalar"))
     batched = execute_batch(target, requests)
@@ -259,6 +263,8 @@ def test_execute_batch_is_bit_identical_to_execute(engine_fixture, request):
         expected = execute(target, req)
         assert got.kind == expected.kind == req.kind
         assert got.matches == expected.matches
+        # Every cost counter too, columns_visited included.
+        assert dataclasses.asdict(got.stats) == dataclasses.asdict(expected.stats)
 
 
 def test_execute_batch_empty(engine):
