@@ -116,7 +116,7 @@ def batch_range_search(
     for i, query in enumerate(queries):
         stats = QueryStats()
         count_group_scoring(stats, tgm, query)
-        bounds = measure.bounds_from_counts(counts[i], len(query))
+        bounds = tgm.bounds_from_counts(counts[i], len(query))
         matches: list[tuple[int, float]] = []
         verifier = make_verifier(dataset, query, measure, verify)
         range_collect_groups(
@@ -148,7 +148,7 @@ def batch_knn_search(
     for i, query in enumerate(queries):
         stats = QueryStats()
         count_group_scoring(stats, tgm, query)
-        bounds = measure.bounds_from_counts(counts[i], len(query))
+        bounds = tgm.bounds_from_counts(counts[i], len(query))
         heap: list[tuple[float, int]] = []
         zero_candidates: list[list[int]] = []
         verifier = make_verifier(dataset, query, measure, verify)

@@ -57,9 +57,14 @@ _MIN_CAPACITY = 1024
 
 # Tiling budget for blockwise pairwise kernels: the largest intermediate
 # (a dense per-row count table or a gathered contribution buffer) holds at
-# most this many int64 cells (2M cells = 16 MiB), however large the
-# record blocks are.
-DEFAULT_TILE_CELLS = 1 << 21
+# most this many int64 cells (64K cells = 512 KiB), however large the
+# record blocks are.  Small enough that a tile's temporaries are recycled
+# inside the malloc heap: at 1 MiB per buffer glibc trims the freed heap
+# top after each tile and the next tile faults it back in — ~90K page
+# faults and a fifth of the time of one self-join of the spine's
+# DBLP-like corpus, a cost that swings with the host — where 512 KiB
+# tiles fault under 1K pages per join and run fastest.
+DEFAULT_TILE_CELLS = 1 << 16
 
 
 def _grow(array: np.ndarray, used: int, extra: int) -> np.ndarray:

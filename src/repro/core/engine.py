@@ -38,7 +38,12 @@ __all__ = [
 
 
 def suggest_num_groups(database_size: int) -> int:
-    """The paper's Section 7.5 rule of thumb: ``n ≈ 0.5% · |D|``."""
+    """The paper's Section 7.5 rule of thumb: ``n ≈ 0.5% · |D|``.
+
+    ``n`` counts TGM rows: a partitioner makes ``n // B`` token groups
+    and splits each into ``B`` set-size bands
+    (:meth:`repro.partitioning.Partitioner.partition`).
+    """
     return max(int(0.005 * database_size), 2)
 
 
@@ -139,8 +144,9 @@ class LES3:
         dataset:
             The database of sets.
         num_groups:
-            Target group count; defaults to the paper's rule of thumb
-            ``n ≈ 0.005 · |D|`` (Section 7.5) via
+            Target group count — TGM rows, i.e. token groups × size
+            bands, never more than this; defaults to the paper's rule of
+            thumb ``n ≈ 0.005 · |D|`` (Section 7.5) via
             :func:`suggest_num_groups`.
         partitioner:
             Any :class:`repro.partitioning.Partitioner`; defaults to the L2P

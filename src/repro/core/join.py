@@ -8,13 +8,18 @@ extension of the reproduced system: find all pairs ``(S_x, S_y)``,
 Pruning happens at two granularities:
 
 * **Group-pair bound**: for groups ``G_a, G_b`` with vocabularies
-  ``V_a, V_b`` and minimum member sizes ``m_a, m_b``, any cross pair has
-  overlap at most ``|V_a ∩ V_b|`` and both sizes at least
-  ``m_a, m_b`` — so ``Sim`` is at most
-  ``measure.from_overlap(|V_a ∩ V_b|, m*, m*)`` with the most favourable
-  feasible sizes.  Pairs of groups failing δ are skipped wholesale.  The
-  caps come out of one boolean matrix product over the groups' live
-  vocabularies.
+  ``V_a, V_b``, minimum member sizes ``m_a, m_b`` and maximum member
+  sizes ``M_a, M_b``, any cross pair has overlap at most
+  ``c = min(κ · |V_a ∩ V_b|, M_a, M_b)`` — ``κ`` is the largest token
+  multiplicity in the dataset (1 for plain sets: multisets can share a
+  token more than once), and a set shares no more tokens than it has —
+  and both sizes at least ``m_a, m_b``; so ``Sim`` is at most
+  ``measure.from_overlap(c, m*, m*)`` with the most favourable feasible
+  sizes.  Pairs of groups failing δ are skipped wholesale.  The
+  vocabulary caps come out of one boolean matrix product over the
+  groups' live vocabularies; the maximum sizes are the TGM's group size
+  ranges (:meth:`~repro.core.tgm.TokenGroupMatrix.size_ranges`), which
+  pays off most on size-banded groups.
 * **Within surviving group pairs**, candidates are verified exactly.
   The default ``verify="columnar"`` path scores a whole group pair in
   one vectorized shot: both groups' CSR slices are gathered from the
@@ -67,6 +72,17 @@ class JoinResult:
 
     def __iter__(self) -> Iterator[tuple[int, int, float]]:
         return iter(self.pairs)
+
+
+def max_token_multiplicity(dataset: Dataset) -> int:
+    """The largest multiplicity of any token in any record; 1 for plain sets.
+
+    Vocabulary caps count shared *distinct* tokens, but two multisets
+    sharing a token overlap on it up to this many times, so a sound
+    overlap cap is the distinct cap times this.
+    """
+    counts = dataset.columnar().flat_counts()
+    return int(counts.max()) if counts.size else 1
 
 
 def best_feasible_pair_bound(
@@ -175,9 +191,20 @@ def _vocab_caps_self(
 
 
 def _pair_bound_matrix(
-    measure: Similarity, caps: np.ndarray, mins_a: np.ndarray, mins_b: np.ndarray
+    measure: Similarity,
+    caps: np.ndarray,
+    mins_a: np.ndarray,
+    mins_b: np.ndarray,
+    maxs_a: np.ndarray,
+    maxs_b: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`best_feasible_pair_bound` over a cap matrix."""
+    """Vectorized :func:`best_feasible_pair_bound` over a cap matrix.
+
+    Each vocabulary cap is first lowered to the smaller of the two
+    groups' maximum member sizes: no cross pair can overlap by more.
+    Sound for any size upper bounds, loose ones included.
+    """
+    caps = np.minimum(caps, np.minimum(maxs_a[:, None], maxs_b[None, :]))
     sizes_a = np.maximum(np.maximum(mins_a[:, None], caps), 1)
     sizes_b = np.maximum(np.maximum(mins_b[None, :], caps), 1)
     bounds = measure.from_overlaps(caps, sizes_a, sizes_b)
@@ -358,8 +385,9 @@ def similarity_self_join(
     vocab, min_sizes, _ = profiles if profiles is not None else group_join_profiles(
         dataset, groups
     )
-    caps = _vocab_caps_self(vocab, max_cells)
-    bounds = _pair_bound_matrix(measure, caps, min_sizes, min_sizes)
+    caps = _vocab_caps_self(vocab, max_cells) * max_token_multiplicity(dataset)
+    _, max_sizes = tgm.size_ranges()
+    bounds = _pair_bound_matrix(measure, caps, min_sizes, min_sizes, max_sizes, max_sizes)
     view = dataset.columnar() if verify == "columnar" else None
     jaccard = isinstance(measure, JaccardSimilarity)
     for a in range(len(groups)):
@@ -434,8 +462,10 @@ def similarity_join_between(
         np.ascontiguousarray(vocab_a[:, idx_a]),
         np.ascontiguousarray(vocab_b[:, idx_b]),
         max_cells,
+    ) * max_token_multiplicity(dataset)
+    bounds = _pair_bound_matrix(
+        measure, caps, mins_a, mins_b, tgm_a.size_ranges()[1], tgm_b.size_ranges()[1]
     )
-    bounds = _pair_bound_matrix(measure, caps, mins_a, mins_b)
     view = dataset.columnar() if verify == "columnar" else None
     jaccard = isinstance(measure, JaccardSimilarity)
     for a, members_a in enumerate(tgm_a.group_members):

@@ -7,22 +7,25 @@ the exact similarity.
 kNN is best-first over groups: they are scored once (``O(n · |Q|)``),
 ranked by descending bound, and visited until the next bound is strictly
 below the current kth similarity.  A bound is a function of the covered
-token count, so a query sees at most ``|Q|`` distinct positive bound
-values and the ranking falls into that many **tie classes** — maximal
-runs of groups with equal bound.  The sequential walk never stops inside
-a tie class (the lemma and its proof are in :func:`knn_visit_groups`),
-so the columnar path advances a class at a time, as a *wavefront*: the
-class's members are concatenated from the TGM's cached member arrays,
-verified by the kernel in bounded chunks (``_WAVE_CHUNK`` records, so
-temporaries stay cache-sized), filtered against the current and the
-chunk's own kth similarity on the array side, and only the handful of
-survivors go through ``heapq``.  Kernel calls and Python-level work per
-query therefore scale with ``|Q|`` and ``k``, not with the number of
-groups or candidates; matches and every ``QueryStats`` counter equal the
-sequential walk's.  Ties on similarity are broken by record index so
-results are deterministic.  Range search collects the members of every
-surviving group through the same chunked helper and selects with the
-threshold on the similarity vector.
+token count (at most ``|Q|`` values) and of the group's member-size range
+(:meth:`~repro.core.tgm.TokenGroupMatrix.bounds_from_counts`), and the
+partitioners cut groups into a few size bands, so the ranking falls into
+roughly ``|Q|`` × bands **tie classes** — maximal runs of groups with
+equal bound.  The sequential walk never stops inside a tie class (the
+lemma and its proof, which need only the bound's soundness, are in
+:func:`knn_visit_groups`), so the columnar path advances a class at a
+time, as a *wavefront*: the class's members are concatenated from the
+TGM's cached member arrays, verified by the kernel in bounded chunks
+(``_WAVE_CHUNK`` records, so temporaries stay cache-sized), filtered
+against the current and the chunk's own kth similarity on the array
+side, and only the handful of survivors go through ``heapq``.  Kernel
+calls and Python-level work per query therefore scale with the tie
+classes and ``k``, not with the number of groups or candidates; matches
+and every ``QueryStats`` counter equal the sequential walk's.  Ties on
+similarity are broken by record index so results are deterministic.
+Range search collects the members of every surviving group through the
+same chunked helper and selects with the threshold on the similarity
+vector.
 
 There is one columnar path and one oracle: ``verify="columnar"``
 (default, :mod:`repro.core.columnar`) runs the above over the dataset's
@@ -277,10 +280,11 @@ def knn_visit_groups(
     bound, the wavefront can only finish the class the sequential walk
     broke off in: it verifies more, never less.)
 
-    Groups whose bound is exactly 0 share no token with the query: their
-    members are provably at similarity 0 and are never verified.  Their
-    member lists are appended to ``zero_candidates`` (when given) so
-    :func:`pad_zero_matches` can pad an underfull result canonically.
+    Groups whose bound is exactly 0 share no token with the query (or
+    have no member): their members are provably at similarity 0 and are
+    never verified.  Their member lists are appended to
+    ``zero_candidates`` (when given) so :func:`pad_zero_matches` can pad
+    an underfull result canonically.
     """
     measure = measure if measure is not None else tgm.measure
     order = np.argsort(-bounds, kind="stable")

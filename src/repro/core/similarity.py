@@ -11,6 +11,12 @@ For such measures the group bound is ``Sim(Q, R*)`` where
 vocabulary.  Because ``R* ⊆ Q``, the bound only depends on ``|R*|`` and
 ``|Q|``; each measure implements it as :meth:`Similarity.group_upper_bound`.
 
+The TGM also knows each group's member-size range ``[smin, smax]``, and
+:meth:`Similarity.sized_bounds` uses it: a member's overlap with ``Q`` is
+at most ``min(|R*|, |S|)``, and every built-in measure, at that overlap,
+peaks at ``|S| = |R*|`` and falls off on both sides — so the best member
+size within the range is ``|R*|`` clipped to ``[smin, smax]``.
+
 All measures work on multisets too: ``overlap`` is the multiset overlap
 ``Σ_t min(count_Q(t), count_S(t))`` and sizes count duplicates.
 """
@@ -141,13 +147,16 @@ class Similarity(ABC):
     def bounds_from_counts(
         self, counts: ArrayLike, query_size: int
     ) -> NDArray[np.float64]:
-        """Vector of group upper bounds from a vector of covered counts.
+        """Vector of size-blind group upper bounds from covered counts.
 
         ``counts[g] = |Q ∩ GS_g|`` (multiplicity-weighted); the result is
-        ``group_upper_bound`` applied elementwise, as a float64 array.  The
-        bound is monotone in the covered count for every measure, which is
-        what makes coarser vocabularies (a shard's union of group
-        vocabularies) sound upper bounds too.
+        ``group_upper_bound`` applied elementwise, as a float64 array — the
+        paper's Theorem 3.1 bound, which looks at nothing but the covered
+        count.  It is monotone in the covered count for every measure,
+        which is what makes coarser vocabularies (a shard's union of group
+        vocabularies) sound upper bounds too; shard-level bounds use it
+        as is.  Group bounds go through :meth:`sized_bounds`, which also
+        sees the groups' member-size ranges.
 
         Group scoring is on the hot path, so **every concrete measure must
         override this** with a closed-form array expression that matches
@@ -159,6 +168,24 @@ class Similarity(ABC):
             [self.group_upper_bound(int(c), query_size) for c in counts],
             dtype=np.float64,
         )
+
+    def sized_bounds(
+        self,
+        counts: ArrayLike,
+        query_size: int,
+        size_lo: ArrayLike,
+        size_hi: ArrayLike,
+    ) -> NDArray[np.float64]:
+        """Group upper bounds from covered counts *and* member-size ranges.
+
+        Group ``g`` holds only sets with ``size_lo[g] <= |S| <= size_hi[g]``
+        (an empty group has the range ``[0, 0]``).  This base version
+        ignores the ranges and returns :meth:`bounds_from_counts` — sound
+        for any measure satisfying Theorem 3.1, so third-party measures
+        keep today's size-blind bound.  The built-in measures override it
+        with the size-aware bound (see :class:`_SizePeakedMeasure`).
+        """
+        return self.bounds_from_counts(counts, query_size)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -176,7 +203,36 @@ def _broadcast_int64(
     return arrays[0], arrays[1], arrays[2]
 
 
-class JaccardSimilarity(Similarity):
+class _SizePeakedMeasure(Similarity):
+    """A measure that, at a fixed overlap cap ``c``, peaks at ``|S| = c``.
+
+    For every built-in measure ``Sim`` depends on ``(overlap, |Q|, |S|)``
+    only, grows with the overlap, and — with the overlap capped at
+    ``min(c, |S|)`` — grows with ``|S|`` up to ``c`` and does not grow
+    beyond it.  So over a group whose members have
+    ``smin <= |S| <= smax`` and share at most ``c = |Q ∩ GS_g|`` with the
+    query, no member beats ``s* = clip(c, smin, smax)`` with overlap
+    ``min(c, s*)``; :meth:`sized_bounds` evaluates exactly that through
+    :meth:`~Similarity.from_overlaps` — the verification kernel's own
+    float64 formula, so a member that attains the bound scores it bit
+    for bit.  With ``[smin, smax]`` covering every size the bound is the
+    size-blind one.
+    """
+
+    def sized_bounds(
+        self,
+        counts: ArrayLike,
+        query_size: int,
+        size_lo: ArrayLike,
+        size_hi: ArrayLike,
+    ) -> NDArray[np.float64]:
+        # min(c, s*) = min(c, smax), and s* = max(that, smin) when smin <= smax;
+        # an empty group's range [0, 0] scores 0.
+        overlap = np.minimum(np.asarray(counts, dtype=np.int64), size_hi)
+        return self.from_overlaps(overlap, query_size, np.maximum(overlap, size_lo))
+
+
+class JaccardSimilarity(_SizePeakedMeasure):
     """Jaccard similarity ``|A ∩ B| / |A ∪ B|`` (Equation 2 bound)."""
 
     name = "jaccard"
@@ -209,8 +265,24 @@ class JaccardSimilarity(Similarity):
             return np.zeros(len(counts), dtype=np.float64)
         return np.asarray(counts, dtype=np.float64) / query_size
 
+    def sized_bounds(
+        self,
+        counts: ArrayLike,
+        query_size: int,
+        size_lo: ArrayLike,
+        size_hi: ArrayLike,
+    ) -> NDArray[np.float64]:
+        # The inherited bound in closed form — it runs for every query and
+        # every insert.  With |Q| > 0 the union |Q| + s* - overlap is at
+        # least |Q|, so the division needs no guard; the int64 union and the
+        # float64 division are from_overlaps' own, so the values are too.
+        if query_size <= 0:
+            return np.zeros(len(size_hi), dtype=np.float64)
+        overlap = np.minimum(np.asarray(counts, dtype=np.int64), size_hi)
+        return overlap / (query_size - overlap + np.maximum(overlap, size_lo))
 
-class DiceSimilarity(Similarity):
+
+class DiceSimilarity(_SizePeakedMeasure):
     """Dice coefficient ``2|A ∩ B| / (|A| + |B|)``."""
 
     name = "dice"
@@ -245,7 +317,7 @@ class DiceSimilarity(Similarity):
         return np.where(counts > 0, 2.0 * counts / (query_size + counts), 0.0)
 
 
-class CosineSimilarity(Similarity):
+class CosineSimilarity(_SizePeakedMeasure):
     """Cosine similarity ``|A ∩ B| / sqrt(|A| * |B|)``.
 
     Does not satisfy the triangle inequality, but satisfies the TGM
@@ -288,7 +360,7 @@ class CosineSimilarity(Similarity):
         return np.sqrt(np.maximum(counts, 0.0) / query_size)
 
 
-class OverlapCoefficient(Similarity):
+class OverlapCoefficient(_SizePeakedMeasure):
     """Overlap coefficient ``|A ∩ B| / min(|A|, |B|)``.
 
     Satisfies the applicability property, but its group bound is the
@@ -329,7 +401,7 @@ class OverlapCoefficient(Similarity):
         return (counts > 0).astype(np.float64)
 
 
-class ContainmentSimilarity(Similarity):
+class ContainmentSimilarity(_SizePeakedMeasure):
     """Query containment ``|Q ∩ S| / |Q|`` (asymmetric).
 
     The measure behind containment search ("find sets covering most of my

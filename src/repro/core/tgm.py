@@ -4,7 +4,9 @@
 (Equation 1).  Given a query, the group bound is derived from the number of
 query tokens covered by each group's vocabulary (Equation 2, generalised to
 any measure satisfying the TGM Applicability Property via
-:meth:`repro.core.similarity.Similarity.group_upper_bound`).
+:meth:`repro.core.similarity.Similarity.group_upper_bound`) and from the
+range of its members' set sizes, which the matrix keeps beside the bits
+(:meth:`TokenGroupMatrix.bounds_from_counts`).
 
 Two storage backends are provided:
 
@@ -69,6 +71,11 @@ class TokenGroupMatrix:
             for record_index in members
         }
         self._universe_size = len(dataset.universe)
+        # Per group, every member's multiset size lies in [_size_lo, _size_hi]
+        # ([0, 0] for an empty group).  Like the bits, the range may be
+        # loose — after ``unregister`` — but never too narrow.
+        self._size_lo = np.zeros(len(self.group_members), dtype=np.int64)
+        self._size_hi = np.zeros(len(self.group_members), dtype=np.int64)
         if backend == "dense":
             self._matrix = np.zeros((len(self.group_members), self._universe_size), dtype=bool)
             self._bitmaps: list[RoaringBitmap] | None = None
@@ -80,7 +87,7 @@ class TokenGroupMatrix:
     # -- construction helpers -------------------------------------------------
 
     def _build_bits(self, dataset: Dataset) -> None:
-        """Flip every group's token bits from its current membership.
+        """Flip every group's token bits and set its size range from its current membership.
 
         When the dataset already carries a columnar view (always true for
         mapped datasets, and for any dataset that has answered a columnar
@@ -89,6 +96,8 @@ class TokenGroupMatrix:
         ``mode="mmap"`` index rebuilds out-of-core.  Otherwise the
         original record walk runs; both paths set the identical bits.
         """
+        self._size_lo[:] = 0
+        self._size_hi[:] = 0
         view = dataset._columnar
         if view is not None:
             view.sync()
@@ -99,10 +108,17 @@ class TokenGroupMatrix:
                         self._matrix[group_id, tokens] = True
                     else:
                         self._bitmaps[group_id].update(tokens.tolist())
+                    sizes = view.sizes_of(members)
+                    self._size_lo[group_id] = sizes.min()
+                    self._size_hi[group_id] = sizes.max()
         else:
             for group_id, members in enumerate(self.group_members):
                 for record_index in members:
                     self._set_bits(group_id, dataset.records[record_index].distinct)
+                if members:
+                    sizes = [len(dataset.records[record_index]) for record_index in members]
+                    self._size_lo[group_id] = min(sizes)
+                    self._size_hi[group_id] = max(sizes)
 
     def _set_bits(self, group_id: int, token_ids: Iterable[int]) -> None:
         if self._matrix is not None:
@@ -135,6 +151,15 @@ class TokenGroupMatrix:
         if not arrays:
             return np.zeros(0, dtype=np.int64)
         return np.concatenate(arrays)
+
+    def size_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per group, ``(lo, hi)`` with ``lo <= |S| <= hi`` for every member.
+
+        Copies.  An empty group reports ``[0, 0]``.  After ``unregister``
+        the range may be wider than the live members need (sound, like a
+        stale bit); :meth:`rebuild_bits` re-tightens it.
+        """
+        return self._size_lo.copy(), self._size_hi.copy()
 
     def contains(self, group_id: int, token_id: int) -> bool:
         """``M[g, t]`` as a boolean."""
@@ -205,7 +230,18 @@ class TokenGroupMatrix:
         ``weights`` are per-token query multiplicities for multiset queries.
         """
         counts = self.covered_counts(token_ids, weights)
-        return self.measure.bounds_from_counts(counts, query_size)
+        return self.bounds_from_counts(counts, query_size)
+
+    def bounds_from_counts(self, counts: np.ndarray, query_size: int) -> np.ndarray:
+        """Per-group similarity upper bounds from one query's covered counts.
+
+        The only place covered counts become group bounds — the single
+        query path, the batch loops and the sharded batch path all call
+        it, so every path prunes with the same numbers.  It hands the
+        counts and the groups' member-size ranges to
+        :meth:`~repro.core.similarity.Similarity.sized_bounds`.
+        """
+        return self.measure.sized_bounds(counts, query_size, self._size_lo, self._size_hi)
 
     # -- updates (Section 6) -----------------------------------------------------
 
@@ -225,7 +261,15 @@ class TokenGroupMatrix:
         max_token = record.tokens[-1]
         if max_token >= self._universe_size:
             self.extend_universe(max_token + 1)
-        self.group_members[group_id].append(record_index)
+        size = len(record)
+        members = self.group_members[group_id]
+        if members:
+            self._size_lo[group_id] = min(int(self._size_lo[group_id]), size)
+            self._size_hi[group_id] = max(int(self._size_hi[group_id]), size)
+        else:
+            # No live member to cover (an emptied group's stale range may go).
+            self._size_lo[group_id] = self._size_hi[group_id] = size
+        members.append(record_index)
         self._member_arrays[group_id] = None
         self._group_of[record_index] = group_id
         self._set_bits(group_id, record.distinct)
@@ -236,9 +280,9 @@ class TokenGroupMatrix:
         The record→group map makes finding the group O(1); removing the
         record from its membership list is O(group size).  Token bits are
         *not* cleared (other members may share them, and a spurious bit
-        only weakens pruning, never correctness).  Heavily-deleted groups
-        can be refreshed by rebuilding the TGM from the surviving
-        membership.
+        only weakens pruning, never correctness); neither is the group's
+        size range narrowed, for the same reason.  Heavily-deleted groups
+        can be refreshed with :meth:`rebuild_bits`.
         """
         group_id = self._group_of.pop(record_index, None)
         if group_id is None:
@@ -248,11 +292,12 @@ class TokenGroupMatrix:
         return group_id
 
     def rebuild_bits(self, dataset: Dataset) -> None:
-        """Recompute every group's bits from its current membership.
+        """Recompute every group's bits and size range from its current membership.
 
-        After deletions the matrix can carry bits no surviving member
-        needs; they are sound but loosen the bounds.  A rebuild restores
-        tightness in ``O(Σ |S|)`` without touching the partitioning.
+        After deletions the matrix can carry bits — and size ranges — no
+        surviving member needs; they are sound but loosen the bounds.  A
+        rebuild restores tightness in ``O(Σ |S|)`` without touching the
+        partitioning.
         """
         if self._matrix is not None:
             self._matrix[:, :] = False

@@ -25,7 +25,10 @@ def choose_group(tgm: TokenGroupMatrix, known_ids: Sequence[int], set_size: int)
     """Pick the insertion group for a set whose known token ids are given.
 
     Highest upper bound wins; among equal bounds the group with the fewest
-    members wins (Section 6).  With no known tokens the smallest group wins.
+    members wins (Section 6).  The bound is the TGM's size-aware one, so a
+    set tends to join a group whose members are about its size, which
+    keeps the groups' size ranges narrow.  With no known tokens the
+    smallest group wins.
     """
     sizes = np.array([len(members) for members in tgm.group_members], dtype=np.int64)
     if not known_ids:

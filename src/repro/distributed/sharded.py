@@ -49,6 +49,7 @@ from repro.core.join import (
     JoinResult,
     best_feasible_pair_bound,
     group_join_profiles,
+    max_token_multiplicity,
     similarity_join_between,
     similarity_self_join,
 )
@@ -702,9 +703,10 @@ class ShardedLES3:
             ]
             if not survivors:
                 continue
-            counts = batch_covered_counts(self.tgms[shard_id], [queries[i] for i in survivors])
+            tgm = self.tgms[shard_id]
+            counts = batch_covered_counts(tgm, [queries[i] for i in survivors])
             for row, i in enumerate(survivors):
-                per_query_bounds[i][shard_id] = self.measure.bounds_from_counts(
+                per_query_bounds[i][shard_id] = tgm.bounds_from_counts(
                     counts[row], len(queries[i])
                 )
         verify = self._verify_mode(verify)
@@ -730,6 +732,7 @@ class ShardedLES3:
         from pairwise :func:`~repro.core.join.similarity_join_between`
         calls.  A shard *pair* is skipped wholesale when its vocabulary
         bound — ``best_feasible_pair_bound`` over ``|vocab_s ∩ vocab_t|``
+        (times the dataset's largest token multiplicity, for multisets)
         and the shards' minimum live record sizes — cannot reach the
         threshold: shard vocabularies contain every group vocabulary and
         the bound is monotone in the cap and antitone in the minimum
@@ -763,11 +766,12 @@ class ShardedLES3:
             shard_id for shard_id in range(self.num_shards) if min_sizes[shard_id] > 0
         ]
         pair_tasks: list[tuple[int, int]] = []
+        multiplicity = max_token_multiplicity(self.dataset)
         for s in self_tasks:
             for t in range(s + 1, self.num_shards):
                 if min_sizes[t] == 0:
                     continue
-                cap = len(
+                cap = multiplicity * len(
                     np.intersect1d(shard_vocab[s], shard_vocab[t], assume_unique=True)
                 )
                 bound = best_feasible_pair_bound(

@@ -181,7 +181,7 @@ class L2PPartitioner(Partitioner):
 
     # -- the cascade --------------------------------------------------------------
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         if num_groups <= 0:
             raise ValueError("num_groups must be positive")
         self.stats_ = CascadeStats()
@@ -195,7 +195,7 @@ class L2PPartitioner(Partitioner):
 
         start = min(self.initial_groups, num_groups)
         if start > 1:
-            groups = MinTokenPartitioner().partition(dataset, start).groups
+            groups = MinTokenPartitioner()._group(dataset, start).groups
         else:
             groups = [list(range(len(dataset)))]
         self.level_partitions_.append(Partition(groups))

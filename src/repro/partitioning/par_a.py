@@ -48,7 +48,7 @@ class ParAPartitioner(Partitioner):
         scale = (len(group_a) * len(group_b)) / (len(sample_a) * len(sample_b))
         return total * scale
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         rng = random.Random(self.seed)
         groups: list[list[int]] = [[i] for i in range(len(dataset))]
         while len(groups) > num_groups:

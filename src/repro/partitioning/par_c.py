@@ -61,9 +61,9 @@ class ParCPartitioner(Partitioner):
         self.sample_size = sample_size
         self.seed = seed
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         rng = random.Random(self.seed)
-        partition = RandomPartitioner(self.seed).partition(dataset, num_groups)
+        partition = RandomPartitioner(self.seed)._group(dataset, num_groups)
         groups = [set(group) for group in partition.groups]
         assignment = {}
         for group_id, group in enumerate(groups):

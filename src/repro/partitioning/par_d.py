@@ -46,7 +46,7 @@ class ParDPartitioner(Partitioner):
         true_pairs = size * (size - 1) / 2
         return total * (true_pairs / sample_pairs)
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         rng = random.Random(self.seed)
         groups: list[list[int]] = [list(range(len(dataset)))]
         while len(groups) < num_groups:

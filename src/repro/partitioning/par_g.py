@@ -96,7 +96,7 @@ class ParGPartitioner(Partitioner):
         self.tolerance = tolerance
         self.seed = seed
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         if self.k is not None:
             graph = build_knn_graph(dataset, self.k, self.measure)
         else:

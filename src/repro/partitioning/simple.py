@@ -43,7 +43,7 @@ class RandomPartitioner(Partitioner):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         indices = list(range(len(dataset)))
         random.Random(self.seed).shuffle(indices)
         return Partition(chunk_evenly(indices, num_groups))
@@ -56,6 +56,6 @@ class MinTokenPartitioner(Partitioner):
     token-correlated sets when token ids are assigned in frequency order.
     """
 
-    def partition(self, dataset: Dataset, num_groups: int) -> Partition:
+    def _group(self, dataset: Dataset, num_groups: int) -> Partition:
         order = sorted(range(len(dataset)), key=lambda i: (dataset.records[i].min_token(), i))
         return Partition(chunk_evenly(order, num_groups))

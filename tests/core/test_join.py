@@ -58,6 +58,18 @@ class TestExactness:
         result = similarity_self_join(dataset, tgm, 1.0)
         assert result.pairs == [(0, 1, 1.0)]
 
+    @pytest.mark.parametrize("groups", [[[0, 1], [2]], [[0], [1, 2]]])
+    @pytest.mark.parametrize("verify", ["columnar", "scalar"])
+    def test_multisets_sharing_a_token_twice(self, groups, verify):
+        """Regression: one shared distinct token may be two units of overlap.
+
+        The group-pair cap counted shared *distinct* tokens, which bounded
+        {a, a} vs {a, a} at 1/3 and pruned the identical pair.
+        """
+        dataset = Dataset.from_token_lists([["a", "a"], ["a", "a"], ["b"]])
+        tgm = TokenGroupMatrix(dataset, groups)
+        assert similarity_self_join(dataset, tgm, 0.5, verify).pairs == [(0, 1, 1.0)]
+
 
 class TestPruning:
     def test_group_pairs_pruned_on_clustered_data(self):

@@ -45,19 +45,26 @@ class TestConstruction:
 
 class TestBounds:
     def test_figure1_example(self, tiny_dataset):
-        """Query {A}: bound 1 for the group containing A, 0 for the other."""
+        """Query {A}: paper bound 1 for the group containing A, 0 for the other."""
         tgm = build_tiny_tgm(tiny_dataset)
         a = tiny_dataset.universe.id_of("A")
+        paper = tgm.measure.bounds_from_counts(tgm.covered_counts([a]), 1)
+        assert paper[0] == pytest.approx(1.0)
+        assert paper[1] == pytest.approx(0.0)
+        # Group 0's members hold 2..3 tokens, so none can beat {A} vs {A, B}.
         bounds = tgm.upper_bounds([a], 1)
-        assert bounds[0] == pytest.approx(1.0)
+        assert bounds[0] == pytest.approx(0.5)
         assert bounds[1] == pytest.approx(0.0)
 
     def test_unseen_token_dilutes_bound(self, tiny_dataset):
         tgm = build_tiny_tgm(tiny_dataset)
         a = tiny_dataset.universe.id_of("A")
         # Query {A, unseen}: |Q| = 2 but only A can be covered.
+        paper = tgm.measure.bounds_from_counts(tgm.covered_counts([a]), 2)
+        assert paper[0] == pytest.approx(0.5)
+        # ... and a member of size >= 2 sharing only A scores at most 1/3.
         bounds = tgm.upper_bounds([a], 2)
-        assert bounds[0] == pytest.approx(0.5)
+        assert bounds[0] == pytest.approx(1 / 3)
 
     def test_empty_known_tokens(self, tiny_dataset):
         tgm = build_tiny_tgm(tiny_dataset)
@@ -75,8 +82,10 @@ class TestBounds:
         a = dataset.universe.id_of("a")
         bounds = tgm.upper_bounds([a], query_size=2, weights=[2])
         assert bounds[0] == pytest.approx(1.0)
-        unweighted = tgm.upper_bounds([a], query_size=2)
+        unweighted = tgm.measure.bounds_from_counts(tgm.covered_counts([a]), 2)
         assert unweighted[0] == pytest.approx(0.5)
+        # Size-aware: the group's one member has 2 tokens, so at most 1/3.
+        assert tgm.upper_bounds([a], query_size=2)[0] == pytest.approx(1 / 3)
 
     @pytest.mark.parametrize("backend", ["dense", "roaring"])
     def test_weighted_counts_backends_agree(self, zipf_small, backend):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Dataset
+from repro.core import Dataset, TokenGroupMatrix
 from repro.core.engine import LES3
 from repro.datasets import uniform_dataset, zipf_dataset
 from repro.distributed import ShardedLES3
@@ -286,3 +286,12 @@ class TestMultisetEquivalence:
                 single.range_record(query, 0.5).matches
                 == sharded.range_record(query, 0.5).matches
             )
+
+    def test_multiset_join_across_shards(self):
+        """Regression: the shard-pair cap must count a shared token's multiplicity."""
+        dataset = Dataset.from_token_lists([["a", "a"], ["a", "a"], ["b"], ["b", "c"]])
+        # One group per shard: the two {a, a} records meet only across shards.
+        single = LES3(dataset, TokenGroupMatrix(dataset, [[0], [1], [2, 3]]))
+        sharded = ShardedLES3.from_engine(single, 3)
+        assert single.join(0.5).pairs == [(0, 1, 1.0), (2, 3, 0.5)]
+        assert sharded.join(0.5).pairs == single.join(0.5).pairs

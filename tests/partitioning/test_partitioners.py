@@ -98,8 +98,9 @@ class TestQuality:
         assert gpo(clustered, par_c.partition(clustered, 4)) <= start_gpo + 1e-9
 
     def test_min_token_groups_consecutive(self):
+        # The token grouping, before the size bands split it.
         dataset = zipf_dataset(60, 50, (2, 5), seed=2)
-        partition = MinTokenPartitioner().partition(dataset, 6)
+        partition = MinTokenPartitioner()._group(dataset, 6)
         min_tokens = [
             [dataset.records[i].min_token() for i in group] for group in partition.groups
         ]
