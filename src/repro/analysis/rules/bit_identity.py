@@ -182,7 +182,7 @@ def check_unsorted_set_iteration(context: FileContext) -> Iterator[Finding]:
     code="RL102",
     name="narrow-float-dtype",
     summary="float32/float16 dtype in kernel code (kernels are float64-exact)",
-    invariant="float64-exact similarity kernels (verify='columnar' == 'scalar')",
+    invariant="float64-exact similarity kernels (columnar kernel == scalar oracle)",
     scope=_KERNEL_PATH,
 )
 def check_narrow_float_dtype(context: FileContext) -> Iterator[Finding]:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Sequence, Union
 
-from repro.core.columnar import VERIFY_MODES
 from repro.core.delta import DeltaSegment
 from repro.core.engine import LES3, as_query_record
 from repro.core.metrics import QueryStats
@@ -71,7 +70,6 @@ WRITE_KINDS = ("insert", "remove")
 def load(
     directory: str | Path,
     mode: str = "memory",
-    verify: str | None = None,
     workers: int | None = None,
     max_resident_shards: int = 4,
 ) -> Engine:
@@ -103,8 +101,6 @@ def load(
           Lazy engines are read-only (``insert``/``remove`` raise).
 
         Results are bit-identical in every mode.
-    verify : {"columnar", "scalar"}, optional
-        Override the persisted default verification path.
     workers : int, optional
         Threads for the concurrent shard-TGM rebuilds (sharded saves,
         eager modes only).
@@ -154,20 +150,16 @@ def load(
     builders = [shard_builder(groups, backend) for groups, backend, _ in generation.shards]
     engine: Engine
     if generation.placement is None:
-        engine = LES3(dataset, builders[0](), verify=generation.verify)
+        engine = LES3(dataset, builders[0]())
         engine.removed = generation.shards[0][2]
     else:
         if mode == "lazy":
             engine = ShardedLES3(
                 dataset, LazyShardTGMs(builders, max_resident_shards), measure,
-                verify=generation.verify,
                 shard_groups=[groups for groups, _, _ in generation.shards],
             )
         else:
-            engine = ShardedLES3(
-                dataset, _build_concurrently(builders, workers), measure,
-                verify=generation.verify,
-            )
+            engine = ShardedLES3(dataset, _build_concurrently(builders, workers), measure)
         engine.removed = {
             record_index: shard_id
             for shard_id, (_, _, deleted) in enumerate(generation.shards)
@@ -175,12 +167,6 @@ def load(
         }
         engine.placement = generation.placement
     engine._delta = DeltaSegment(directory, num_ops=generation.num_ops)
-    if verify is not None:
-        if verify not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {verify!r}; expected one of {VERIFY_MODES}"
-            )
-        engine.verify = verify
     return engine
 
 
@@ -191,8 +177,7 @@ class QueryRequest:
     The one canonical kwargs set shared by the CLI, the query service,
     and :func:`execute`: a kind (``"knn"``, ``"range"``, or ``"join"``),
     the query tokens (except for joins, which run over the indexed data),
-    the kind's own parameter (``k`` / ``threshold``), and the uniform
-    ``verify`` override (``None`` = the engine's default).  One
+    and the kind's own parameter (``k`` / ``threshold``).  One
     robustness knob rides along: ``timeout_ms`` (a per-request deadline;
     the service maps an expired one to HTTP 504).  The answer is the
     exact one or an exception — there is no partial result.
@@ -219,7 +204,6 @@ class QueryRequest:
     tokens: tuple | None = None
     k: int | None = None
     threshold: float | None = None
-    verify: str | None = None
     timeout_ms: int | None = None
 
     @classmethod
@@ -227,7 +211,6 @@ class QueryRequest:
         cls,
         tokens: Sequence[Hashable],
         k: int,
-        verify: str | None = None,
         timeout_ms: int | None = None,
     ) -> "QueryRequest":
         """A k-nearest-neighbours request over external query tokens."""
@@ -235,11 +218,8 @@ class QueryRequest:
             raise ValueError("a knn query needs at least one token")
         if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
             raise ValueError(f"k must be a positive integer, got {k!r}")
-        request = cls(
-            kind="knn", tokens=tuple(tokens), k=k, verify=verify,
-            timeout_ms=timeout_ms,
-        )
-        request._check_modes()
+        request = cls(kind="knn", tokens=tuple(tokens), k=k, timeout_ms=timeout_ms)
+        request._check_timeout()
         return request
 
     @classmethod
@@ -247,7 +227,6 @@ class QueryRequest:
         cls,
         tokens: Sequence[Hashable],
         threshold: float,
-        verify: str | None = None,
         timeout_ms: int | None = None,
     ) -> "QueryRequest":
         """A range request: all sets within ``threshold`` of the tokens."""
@@ -255,33 +234,24 @@ class QueryRequest:
             raise ValueError("a range query needs at least one token")
         threshold = _checked_threshold(threshold, low=0.0)
         request = cls(
-            kind="range", tokens=tuple(tokens), threshold=threshold,
-            verify=verify, timeout_ms=timeout_ms,
+            kind="range", tokens=tuple(tokens), threshold=threshold, timeout_ms=timeout_ms
         )
-        request._check_modes()
+        request._check_timeout()
         return request
 
     @classmethod
     def join(
         cls,
         threshold: float,
-        verify: str | None = None,
         timeout_ms: int | None = None,
     ) -> "QueryRequest":
         """A similarity self-join of the indexed data (no query tokens)."""
         threshold = _checked_threshold(threshold, low=0.0, low_open=True)
-        request = cls(
-            kind="join", threshold=threshold, verify=verify,
-            timeout_ms=timeout_ms,
-        )
-        request._check_modes()
+        request = cls(kind="join", threshold=threshold, timeout_ms=timeout_ms)
+        request._check_timeout()
         return request
 
-    def _check_modes(self) -> None:
-        if self.verify is not None and self.verify not in VERIFY_MODES:
-            raise ValueError(
-                f"unknown verify mode {self.verify!r}; expected one of {VERIFY_MODES}"
-            )
+    def _check_timeout(self) -> None:
         if self.timeout_ms is not None:
             if (
                 isinstance(self.timeout_ms, bool)
@@ -297,7 +267,7 @@ class QueryRequest:
         """Build a validated request from a JSON-shaped dict (the HTTP body).
 
         ``payload`` carries ``tokens`` (list of strings), ``k`` or
-        ``threshold``, and optionally ``verify`` / ``timeout_ms``.
+        ``threshold``, and optionally ``timeout_ms``.
         Unknown keys are rejected so client typos fail loudly instead of
         being silently ignored.
         """
@@ -306,9 +276,9 @@ class QueryRequest:
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
         allowed = {
-            "knn": {"tokens", "k", "verify", "timeout_ms"},
-            "range": {"tokens", "threshold", "verify", "timeout_ms"},
-            "join": {"threshold", "verify", "timeout_ms"},
+            "knn": {"tokens", "k", "timeout_ms"},
+            "range": {"tokens", "threshold", "timeout_ms"},
+            "join": {"threshold", "timeout_ms"},
         }[kind]
         unknown = set(payload) - allowed
         if unknown:
@@ -316,20 +286,17 @@ class QueryRequest:
                 f"unknown field(s) {sorted(unknown)} for a {kind} request; "
                 f"allowed: {sorted(allowed)}"
             )
-        modes = {
-            "verify": payload.get("verify"),
-            "timeout_ms": payload.get("timeout_ms"),
-        }
+        timeout_ms = payload.get("timeout_ms")
         if kind == "join":
-            return cls.join(_payload_threshold(payload), **modes)
+            return cls.join(_payload_threshold(payload), timeout_ms=timeout_ms)
         tokens = payload.get("tokens")
         if not isinstance(tokens, list) or not all(
             isinstance(token, str) for token in tokens
         ):
             raise ValueError(f"a {kind} request needs 'tokens': a list of strings")
         if kind == "knn":
-            return cls.knn(tokens, payload.get("k"), **modes)
-        return cls.range(tokens, _payload_threshold(payload), **modes)
+            return cls.knn(tokens, payload.get("k"), timeout_ms=timeout_ms)
+        return cls.range(tokens, _payload_threshold(payload), timeout_ms=timeout_ms)
 
 
 def _checked_threshold(threshold: object, low: float, low_open: bool = False) -> float:
@@ -538,9 +505,8 @@ def execute(
 ) -> QueryResult:
     """Run one request against either engine kind.
 
-    Thanks to the aligned query signatures this is a straight dispatch;
-    the ``verify`` override passes through unchanged (``None`` falls back
-    to the engine's default).  The request's ``timeout_ms`` becomes a
+    Thanks to the aligned query signatures this is a straight dispatch.
+    The request's ``timeout_ms`` becomes a
     :class:`~repro.core.resilience.Deadline` starting *now*, unless the
     caller passes an explicit ``deadline`` (the query service does: its
     deadline starts at admission, so queue time counts against the
@@ -560,18 +526,13 @@ def execute(
     """
     deadline = _request_deadline(request, deadline)
     if request.kind == "knn":
-        result = engine.knn(
-            request.tokens, k=request.k, verify=request.verify, deadline=deadline
-        )
+        result = engine.knn(request.tokens, k=request.k, deadline=deadline)
         return QueryResult("knn", result.matches, result.stats)
     if request.kind == "range":
-        result = engine.range(
-            request.tokens, threshold=request.threshold, verify=request.verify,
-            deadline=deadline,
-        )
+        result = engine.range(request.tokens, threshold=request.threshold, deadline=deadline)
         return QueryResult("range", result.matches, result.stats)
     if request.kind == "join":
-        joined = engine.join(request.threshold, verify=request.verify, deadline=deadline)
+        joined = engine.join(request.threshold, deadline=deadline)
         return QueryResult("join", joined.pairs, joined.stats)
     raise ValueError(f"unknown query kind {request.kind!r}; expected one of {QUERY_KINDS}")
 
@@ -579,9 +540,9 @@ def execute(
 def _coalesce_key(request: QueryRequest) -> tuple[object, ...]:
     """Requests sharing this key can ride one batched kernel call."""
     if request.kind == "knn":
-        return ("knn", request.k, request.verify, request.timeout_ms)
+        return ("knn", request.k, request.timeout_ms)
     if request.kind == "range":
-        return ("range", request.threshold, request.verify, request.timeout_ms)
+        return ("range", request.threshold, request.timeout_ms)
     return None  # joins are whole-database operations; never coalesced
 
 
@@ -592,7 +553,7 @@ def execute_batch(
 ) -> list[QueryResult | WriteResult]:
     """Run many requests, coalescing compatible ones into the batch kernels.
 
-    kNN requests sharing ``(k, verify, timeout_ms)`` and range requests
+    kNN requests sharing ``(k, timeout_ms)`` and range requests
     sharing the analogous key are interned together and answered by one
     ``batch_knn_record`` / ``batch_range_record`` call — group scoring
     becomes one BLAS product for the whole sub-batch instead of one scan
@@ -629,16 +590,11 @@ def execute_batch(
             as_query_record(engine.dataset, requests[position].tokens)
             for position in positions
         ]
-        verify = key[2]
         batch_deadline = _request_deadline(requests[positions[0]], deadline)
         if kind == "knn":
-            answers = engine.batch_knn_record(
-                records, key[1], verify=verify, deadline=batch_deadline
-            )
+            answers = engine.batch_knn_record(records, key[1], deadline=batch_deadline)
         else:
-            answers = engine.batch_range_record(
-                records, key[1], verify=verify, deadline=batch_deadline
-            )
+            answers = engine.batch_range_record(records, key[1], deadline=batch_deadline)
         for position, answer in zip(positions, answers):
             results[position] = QueryResult(kind, answer.matches, answer.stats)
     return results  # type: ignore[return-value]

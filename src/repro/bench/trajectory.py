@@ -1,10 +1,9 @@
 """The shared BENCH_*.json trajectory writer.
 
-Every standalone benchmark (``bench_verify.py``, ``bench_join.py``,
-``bench_sharded.py``) appends one entry per run to a JSON trajectory at
-the repo root, so speedups are tracked across commits.  One definition
-of the read-append-atomic-replace dance keeps the three files from
-drifting.
+The standalone benchmarks (``bench_sharded.py``, ``bench_updates.py``)
+append one entry per run to a JSON trajectory at the repo root, so
+results are tracked across commits.  One definition of the
+read-append-atomic-replace dance keeps the files from drifting.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ Usage::
     repro knn index --query "a b c" -k 10 --shards 4
     repro knn sharded-index --query "a b c" -k 10
     repro range index --query "a b c" --threshold 0.7 --mode mmap
-    repro join sharded-index --threshold 0.8 --verify both
-    repro bench sharded-index --queries 200 -k 10 --verify both --mode mmap
+    repro join sharded-index --threshold 0.8
+    repro bench sharded-index --queries 200 -k 10 --mode mmap
     repro serve sharded-index --mode lazy
     repro stats data.txt
     repro validate sharded-index
@@ -20,9 +20,7 @@ routes through the unified :func:`repro.load` entry point, which
 auto-detects whether its index directory holds a single-engine save
 (``repro build``) or a sharded save (``repro save``); results are
 identical either way.  ``--shards S`` re-shards a loaded *single-engine*
-index in memory.  ``--verify`` picks the candidate-verification path
-(``columnar`` kernel by default, ``scalar`` as the escape hatch;
-``join``/``bench`` accept ``both`` to time each and report the speedup).  ``--mode memory|mmap|lazy`` picks the dataset load
+index in memory.  ``--mode memory|mmap|lazy`` picks the dataset load
 path (parse ``dataset.txt``, map the binary ``dataset.bin``, or
 additionally build shard indexes on demand).  Results are identical in
 every combination.  ``repro serve`` turns a saved index into a long-lived
@@ -103,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     knn.add_argument("--query", required=True, help="space-separated query tokens")
     knn.add_argument("-k", type=int, default=10)
     knn.add_argument("--shards", type=int, default=1, help="re-shard a single-engine index")
-    knn.add_argument(
-        "--verify", default="columnar", choices=["columnar", "scalar"],
-        help="verification path (results are identical)",
-    )
     _add_mode_flag(knn)
     _add_timeout_flag(knn)
 
@@ -115,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     range_cmd.add_argument("--query", required=True, help="space-separated query tokens")
     range_cmd.add_argument("--threshold", type=float, required=True)
     range_cmd.add_argument("--shards", type=int, default=1, help="re-shard a single-engine index")
-    range_cmd.add_argument(
-        "--verify", default="columnar", choices=["columnar", "scalar"],
-        help="verification path (results are identical)",
-    )
     _add_mode_flag(range_cmd)
     _add_timeout_flag(range_cmd)
 
@@ -127,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--threshold", type=float, required=True)
     join.add_argument("--shards", type=int, default=1, help="re-shard a single-engine index")
     join.add_argument("--limit", type=int, default=20, help="pairs to print (0 = none)")
-    join.add_argument(
-        "--verify", default="columnar", choices=["columnar", "scalar", "both"],
-        help="verification path; 'both' times each and reports the speedup",
-    )
     _add_mode_flag(join)
     _add_timeout_flag(join)
 
@@ -142,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--shards", type=int, default=1, help="re-shard a single-engine index")
     bench.add_argument("--repeat", type=int, default=1, help="timing repetitions (best is reported)")
     bench.add_argument("--seed", type=int, default=0, help="query sampling seed")
-    bench.add_argument(
-        "--verify", default="columnar", choices=["columnar", "scalar", "both"],
-        help="verification path; 'both' times each and reports the speedup",
-    )
     _add_mode_flag(bench)
 
     serve_cmd = commands.add_parser(
@@ -155,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_cmd.add_argument(
         "--port", type=int, default=8722, help="bind port (0 picks an ephemeral one)"
-    )
-    serve_cmd.add_argument(
-        "--verify", default=None, choices=["columnar", "scalar"],
-        help="override the persisted verification path (results are identical)",
     )
     _add_mode_flag(serve_cmd)
     serve_cmd.add_argument(
@@ -315,12 +293,6 @@ def _load_query_engine(args):
             )
     elif shards != 1:
         engine = ShardedLES3.from_engine(engine, shards)
-    # Subcommands without a --verify flag (e.g. `load`) must not override
-    # the verify mode the manifest restored; 'both' is a bench/join-local
-    # notion resolved by the command itself.
-    verify = getattr(args, "verify", None)
-    if verify in ("columnar", "scalar"):
-        engine.verify = verify
     return engine
 
 
@@ -362,14 +334,14 @@ def _cmd_load(args) -> int:
         print(
             f"sharded index: {len(engine.dataset)} sets, {engine.num_shards} shard(s) "
             f"[{sizes}], {engine.num_groups} groups, measure {engine.measure.name!r}, "
-            f"placement {engine.placement!r}, verify {engine.verify!r}, "
+            f"placement {engine.placement!r}, "
             f"{len(engine.removed)} tombstone(s), {engine.index_bytes()} index bytes"
         )
     else:
         print(
             f"single-engine index: {len(engine.dataset)} sets, "
             f"{engine.num_groups} groups, measure {engine.measure.name!r}, "
-            f"verify {engine.verify!r}, {len(engine.removed)} tombstone(s), "
+            f"{len(engine.removed)} tombstone(s), "
             f"{engine.index_bytes()} index bytes"
         )
     return 0
@@ -443,14 +415,8 @@ def _cmd_join(args) -> int:
     if args.limit < 0:
         print("error: --limit must be non-negative", file=sys.stderr)
         return 1
-    modes = ["columnar", "scalar"] if args.verify == "both" else [args.verify]
     try:
-        requests = {
-            mode: QueryRequest.join(
-                threshold=args.threshold, verify=mode, timeout_ms=args.timeout_ms
-            )
-            for mode in modes
-        }
+        request = QueryRequest.join(threshold=args.threshold, timeout_ms=args.timeout_ms)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -460,21 +426,7 @@ def _cmd_join(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     try:
-        if "columnar" in modes:
-            # The CSR view is a one-time, whole-database cost — keep it out
-            # of the timed region so 'both' compares verification only.
-            query_engine.dataset.columnar()
-        seconds = {}
-        result = None
-        for mode in modes:
-            start = time.perf_counter()
-            joined = execute(query_engine, requests[mode])
-            seconds[mode] = time.perf_counter() - start
-            if result is None:
-                result = joined
-            elif joined.matches != result.matches:
-                print("error: join results differ between verify modes", file=sys.stderr)
-                return 2
+        result = execute(query_engine, request)
         for x, y, similarity in result.matches[: args.limit]:
             print(f"{similarity:.4f}\t#{x}\t#{y}")
         if args.limit and len(result.matches) > args.limit:
@@ -485,11 +437,6 @@ def _cmd_join(args) -> int:
             f"{result.stats.groups_scored} group pairs",
             file=sys.stderr,
         )
-        if len(modes) > 1:
-            print(
-                f"# columnar speedup {seconds['scalar'] / seconds['columnar']:.2f}x",
-                file=sys.stderr,
-            )
         return 0
     except DeadlineExceeded as error:
         print(f"error: {error}", file=sys.stderr)
@@ -540,48 +487,25 @@ def _cmd_bench(args) -> int:
         f"# {len(sharded.dataset)} sets, {sharded.num_groups} groups, "
         f"{sharded.num_shards} shard(s), {len(queries)} queries"
     )
-    modes = ["columnar", "scalar"] if args.verify == "both" else [args.verify]
-    if "columnar" in modes:
-        # Build the CSR view outside the timed region: it is a one-time,
-        # whole-database cost, not a per-batch one.
-        sharded.dataset.columnar()
+    # Build the CSR view outside the timed region: it is a one-time,
+    # whole-database cost, not a per-batch one.
+    sharded.dataset.columnar()
     passes = []
     if args.k > 0:
-        passes.append(
-            ("knn", lambda mode: sharded.batch_knn_record(queries, args.k, verify=mode))
-        )
+        passes.append(("knn", lambda: sharded.batch_knn_record(queries, args.k)))
     if args.threshold >= 0:
-        passes.append(
-            (
-                "range",
-                lambda mode: sharded.batch_range_record(
-                    queries, args.threshold, verify=mode
-                ),
-            )
-        )
+        passes.append(("range", lambda: sharded.batch_range_record(queries, args.threshold)))
     for name, run in passes:
-        seconds = {}
-        reference = None
-        for mode in modes:
-            best = float("inf")
-            for _ in range(args.repeat):
-                start = time.perf_counter()
-                results = run(mode)
-                best = min(best, time.perf_counter() - start)
-            seconds[mode] = best
-            matches = sum(len(result) for result in results)
-            if reference is None:
-                reference = [result.matches for result in results]
-            elif reference != [result.matches for result in results]:
-                print(f"error: {name} results differ between verify modes", file=sys.stderr)
-                return 2
-            label = f"{name}[{mode}]" if len(modes) > 1 else name
-            print(
-                f"{label}: {len(queries) / best:,.0f} queries/s "
-                f"({best * 1000:.1f} ms/batch, {matches} matches)"
-            )
-        if len(modes) > 1:
-            print(f"{name}: columnar speedup {seconds['scalar'] / seconds['columnar']:.2f}x")
+        best = float("inf")
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            results = run()
+            best = min(best, time.perf_counter() - start)
+        matches = sum(len(result) for result in results)
+        print(
+            f"{name}: {len(queries) / best:,.0f} queries/s "
+            f"({best * 1000:.1f} ms/batch, {matches} matches)"
+        )
     return 0
 
 
@@ -695,7 +619,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             mode=args.mode,
-            verify=args.verify,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             concurrency=args.concurrency,

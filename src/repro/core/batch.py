@@ -100,13 +100,12 @@ def batch_range_search(
     tgm: TokenGroupMatrix,
     queries: Sequence[SetRecord],
     threshold: float,
-    verify: str = "columnar",
 ) -> list[SearchResult]:
     """Range search for every query; one TGM scan for the whole batch.
 
-    Verification of the surviving groups runs through the columnar kernel
-    (``verify="columnar"``) or the scalar walk (``"scalar"``) with
-    bit-identical results.
+    Verification of the surviving groups stays per-query, through the
+    columnar kernel.  Matches are bit-identical to looping
+    :func:`range_search`.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -118,7 +117,7 @@ def batch_range_search(
         count_group_scoring(stats, tgm, query)
         bounds = tgm.bounds_from_counts(counts[i], len(query))
         matches: list[tuple[int, float]] = []
-        verifier = make_verifier(dataset, query, measure, verify)
+        verifier = make_verifier(dataset, query, measure)
         range_collect_groups(
             dataset, tgm, query, threshold, bounds, matches, stats, measure, verifier
         )
@@ -131,7 +130,6 @@ def batch_knn_search(
     tgm: TokenGroupMatrix,
     queries: Sequence[SetRecord],
     k: int,
-    verify: str = "columnar",
 ) -> list[SearchResult]:
     """kNN for every query; one TGM scan for the whole batch.
 
@@ -151,7 +149,7 @@ def batch_knn_search(
         bounds = tgm.bounds_from_counts(counts[i], len(query))
         heap: list[tuple[float, int]] = []
         zero_candidates: list[list[int]] = []
-        verifier = make_verifier(dataset, query, measure, verify)
+        verifier = make_verifier(dataset, query, measure)
         knn_visit_groups(
             dataset, tgm, query, k, bounds, heap, stats, measure,
             zero_candidates, verifier,

@@ -27,8 +27,8 @@ columnar layout:
 
 The kernel computes the very same integer overlaps and applies the very
 same float64 operations as the scalar ``overlap()`` path, so similarities
-are bit-identical — the scalar path (``verify="scalar"``) remains as an
-escape hatch and as the test oracle.
+are bit-identical.  The scalar walk remains only as the test oracle,
+reachable through :mod:`repro.testing.oracle`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import threading
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from repro.testing import oracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.dataset import Dataset
@@ -47,11 +49,8 @@ __all__ = [
     "ColumnarView",
     "GroupVerifier",
     "make_verifier",
-    "VERIFY_MODES",
     "DEFAULT_TILE_CELLS",
 ]
-
-VERIFY_MODES = ("columnar", "scalar")
 
 _MIN_CAPACITY = 1024
 
@@ -384,18 +383,17 @@ def make_verifier(
     dataset: "Dataset",
     query: "SetRecord",
     measure: "Similarity",
-    verify: str = "columnar",
+    mode: str = "columnar",
 ) -> GroupVerifier | None:
-    """Resolve a ``verify`` mode into a kernel (or ``None`` for scalar).
+    """The query's verification kernel over the dataset's cached CSR view.
 
-    ``"columnar"`` returns a :class:`GroupVerifier` over the dataset's
-    cached :class:`ColumnarView`; ``"scalar"`` returns ``None``, which the
-    group-visit helpers take as "verify one record at a time with the
-    measure's ``__call__``" — the original path, kept as the escape hatch
-    and test oracle.
+    Returns ``None`` — which the group-visit helpers take as "verify one
+    record at a time with ``measure(query, record)``" — only while
+    :func:`repro.testing.oracle.armed` is active.  ``mode`` survives for
+    callers that still name the kernel; ``"columnar"`` is its one value.
     """
-    if verify == "scalar":
+    if mode != "columnar":
+        raise ValueError(f"unknown verification kernel {mode!r}; the only one is 'columnar'")
+    if oracle.active():
         return None
-    if verify != "columnar":
-        raise ValueError(f"unknown verify mode {verify!r}; expected one of {VERIFY_MODES}")
     return dataset.columnar().verifier(query, measure)

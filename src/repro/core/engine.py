@@ -85,11 +85,6 @@ class LES3:
         The database of sets the engine answers queries over.
     tgm : TokenGroupMatrix
         A built token-group matrix whose groups cover the dataset.
-    verify : {"columnar", "scalar"}, default ``"columnar"``
-        Default candidate-verification path: the vectorized kernel over
-        the dataset's CSR view, or the per-record walk (the escape hatch
-        and test oracle).  Every query method takes a per-call override;
-        results are bit-identical either way.
 
     Attributes
     ----------
@@ -110,12 +105,9 @@ class LES3:
     [(0, 1, 0.3333333333333333)]
     """
 
-    def __init__(
-        self, dataset: Dataset, tgm: TokenGroupMatrix, verify: str = "columnar"
-    ) -> None:
+    def __init__(self, dataset: Dataset, tgm: TokenGroupMatrix) -> None:
         self.dataset = dataset
         self.tgm = tgm
-        self.verify = verify
         # Logically deleted record indices.  Record slots are never reused,
         # so this only grows; persistence writes it to the manifest and
         # validation treats these as intentional orphans.
@@ -135,7 +127,6 @@ class LES3:
         measure: str | Similarity = "jaccard",
         backend: str = "dense",
         seed: int = 0,
-        verify: str = "columnar",
     ) -> "LES3":
         """Partition the dataset and build the TGM.
 
@@ -166,7 +157,7 @@ class LES3:
             partitioner = L2PPartitioner(measure=measure, seed=seed)
         partition = partitioner.partition(dataset, num_groups)
         tgm = TokenGroupMatrix(dataset, partition.groups, measure, backend)
-        return cls(dataset, tgm, verify=verify)
+        return cls(dataset, tgm)
 
     @property
     def measure(self) -> Similarity:
@@ -180,9 +171,6 @@ class LES3:
         """External query tokens → SetRecord (see :func:`as_query_record`)."""
         return as_query_record(self.dataset, query_tokens)
 
-    def _verify_mode(self, verify: str | None) -> str:
-        return self.verify if verify is None else verify
-
     @staticmethod
     def _check_deadline(deadline: Deadline | None) -> None:
         """Refuse to start work whose deadline has already passed."""
@@ -193,102 +181,80 @@ class LES3:
         self,
         query_tokens: Sequence[Hashable],
         k: int,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """kNN search over external tokens."""
         self._check_deadline(deadline)
-        return knn_search(
-            self.dataset, self.tgm, self._as_record(query_tokens), k,
-            verify=self._verify_mode(verify),
-        )
+        return knn_search(self.dataset, self.tgm, self._as_record(query_tokens), k)
 
     def range(
         self,
         query_tokens: Sequence[Hashable],
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """Range search over external tokens."""
         self._check_deadline(deadline)
         return range_search(
-            self.dataset, self.tgm, self._as_record(query_tokens), threshold,
-            verify=self._verify_mode(verify),
+            self.dataset, self.tgm, self._as_record(query_tokens), threshold
         )
 
     def knn_record(
         self,
         query: SetRecord,
         k: int,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """kNN search with a pre-interned query record."""
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
         self._check_deadline(deadline)
-        return knn_search(
-            self.dataset, self.tgm, query, k, verify=self._verify_mode(verify)
-        )
+        return knn_search(self.dataset, self.tgm, query, k)
 
     def range_record(
         self,
         query: SetRecord,
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """Range search with a pre-interned query record."""
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self._check_deadline(deadline)
-        return range_search(
-            self.dataset, self.tgm, query, threshold, verify=self._verify_mode(verify)
-        )
+        return range_search(self.dataset, self.tgm, query, threshold)
 
     def batch_knn_record(
         self,
         queries: Sequence[SetRecord],
         k: int,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchResult]:
         """kNN for every query (see :func:`repro.core.batch.batch_knn_search`)."""
         from repro.core.batch import batch_knn_search
 
         self._check_deadline(deadline)
-        return batch_knn_search(
-            self.dataset, self.tgm, queries, k, verify=self._verify_mode(verify)
-        )
+        return batch_knn_search(self.dataset, self.tgm, queries, k)
 
     def batch_range_record(
         self,
         queries: Sequence[SetRecord],
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchResult]:
         """Range search for every query; one TGM scan for the whole batch."""
         from repro.core.batch import batch_range_search
 
         self._check_deadline(deadline)
-        return batch_range_search(
-            self.dataset, self.tgm, queries, threshold,
-            verify=self._verify_mode(verify),
-        )
+        return batch_range_search(self.dataset, self.tgm, queries, threshold)
 
     def join(
         self,
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> JoinResult:
         """Exact similarity self-join: all pairs with ``Sim >= threshold``."""
         self._check_deadline(deadline)
-        return similarity_self_join(
-            self.dataset, self.tgm, threshold, verify=self._verify_mode(verify)
-        )
+        return similarity_self_join(self.dataset, self.tgm, threshold)
 
     def insert(self, tokens: Sequence[Hashable]) -> tuple[int, int]:
         """Insert a new set (open universe); returns (record index, group id).

@@ -21,16 +21,15 @@ Pruning happens at two granularities:
   ranges (:meth:`~repro.core.tgm.TokenGroupMatrix.size_ranges`), which
   pays off most on size-banded groups.
 * **Within surviving group pairs**, candidates are verified exactly.
-  The default ``verify="columnar"`` path scores a whole group pair in
-  one vectorized shot: both groups' CSR slices are gathered from the
+  The columnar kernel scores a whole group pair in one vectorized shot: both groups' CSR slices are gathered from the
   dataset's columnar view, the full pairwise overlap matrix is computed
   blockwise (:meth:`~repro.core.columnar.ColumnarView.pairwise_overlaps`,
   tiled so memory stays bounded on large groups), and exact similarities
   come out of one :meth:`~repro.core.similarity.Similarity.from_overlap_matrix`
   call — the same float64 operations as the scalar formula, so the
-  resulting pairs are bit-identical.  ``verify="scalar"`` keeps the
-  original per-pair walk (with its per-pair Jaccard size filter) as the
-  escape hatch and test oracle.
+  resulting pairs are bit-identical.  The original per-pair walk (with
+  its per-pair Jaccard size filter) remains only as the test oracle,
+  reachable through :mod:`repro.testing.oracle`.
 
 :func:`similarity_join_between` joins the groups of two *disjoint* TGMs
 over one shared dataset — the cross-shard building block of
@@ -43,11 +42,12 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.columnar import DEFAULT_TILE_CELLS, VERIFY_MODES, ColumnarView
+from repro.core.columnar import DEFAULT_TILE_CELLS, ColumnarView
 from repro.core.dataset import Dataset
 from repro.core.metrics import QueryStats
 from repro.core.similarity import JaccardSimilarity, Similarity
 from repro.core.tgm import TokenGroupMatrix
+from repro.testing import oracle
 
 __all__ = [
     "JoinResult",
@@ -224,7 +224,7 @@ def _verify_pair_scalar(
     pairs: list[tuple[int, int, float]],
     stats: QueryStats,
 ) -> None:
-    """The original per-pair walk: one exact similarity per candidate pair.
+    """The oracle walk: one exact similarity per candidate pair.
 
     The reported similarity is ``Sim(S_min, S_max)`` — oriented by record
     index, not by iteration order, so asymmetric measures (containment)
@@ -321,18 +321,15 @@ def _verify_pair_columnar(
             pairs.append((x, y, similarity) if x < y else (y, x, similarity))
 
 
-def _check_join_args(threshold: float, verify: str) -> None:
+def _check_threshold(threshold: float) -> None:
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if verify not in VERIFY_MODES:
-        raise ValueError(f"unknown verify mode {verify!r}; expected one of {VERIFY_MODES}")
 
 
 def similarity_self_join(
     dataset: Dataset,
     tgm: TokenGroupMatrix,
     threshold: float,
-    verify: str = "columnar",
     max_cells: int = DEFAULT_TILE_CELLS,
     profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> JoinResult:
@@ -347,12 +344,6 @@ def similarity_self_join(
         vocabulary pruning.
     threshold : float
         The join threshold δ, in ``(0, 1]``.
-    verify : {"columnar", "scalar"}, default ``"columnar"``
-        Verification path: the blockwise pairwise kernel, or the
-        per-pair walk.  The returned pairs are bit-identical either way;
-        only the cost counters differ (the scalar walk skips
-        size-filtered Jaccard pairs before computing a similarity, the
-        kernel scores every cell of a surviving group pair).
     max_cells : int, optional
         Cap on the kernel's intermediate buffers, in int64 cells.
     profiles : tuple, optional
@@ -377,7 +368,7 @@ def similarity_self_join(
     >>> similarity_self_join(dataset, engine.tgm, 0.5).pairs
     [(0, 1, 0.6666666666666666)]
     """
-    _check_join_args(threshold, verify)
+    _check_threshold(threshold)
     measure = tgm.measure
     stats = QueryStats()
     pairs: list[tuple[int, int, float]] = []
@@ -388,7 +379,7 @@ def similarity_self_join(
     caps = _vocab_caps_self(vocab, max_cells) * max_token_multiplicity(dataset)
     _, max_sizes = tgm.size_ranges()
     bounds = _pair_bound_matrix(measure, caps, min_sizes, min_sizes, max_sizes, max_sizes)
-    view = dataset.columnar() if verify == "columnar" else None
+    view = None if oracle.active() else dataset.columnar()
     jaccard = isinstance(measure, JaccardSimilarity)
     for a in range(len(groups)):
         if not groups[a]:
@@ -420,7 +411,6 @@ def similarity_join_between(
     tgm_a: TokenGroupMatrix,
     tgm_b: TokenGroupMatrix,
     threshold: float,
-    verify: str = "columnar",
     max_cells: int = DEFAULT_TILE_CELLS,
     profiles_a: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     profiles_b: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -430,14 +420,14 @@ def similarity_join_between(
     Both TGMs must index record subsets of ``dataset`` — disjoint, as the
     shards of a :class:`~repro.distributed.sharded.ShardedLES3` are — and
     agree on the measure.  Only pairs with one record in each TGM are
-    returned (a record the TGMs share is never paired with itself, in
-    either verify mode); combined with each TGM's
+    returned (a record the TGMs share is never paired with itself);
+    combined with each TGM's
     :func:`similarity_self_join` this tiles the full self-join exactly
     once, which is how the sharded join stays bit-identical to the
     single-engine one.  ``profiles_a`` / ``profiles_b`` accept
     precomputed :func:`group_join_profiles` for the respective TGMs.
     """
-    _check_join_args(threshold, verify)
+    _check_threshold(threshold)
     if tgm_a.measure.name != tgm_b.measure.name:
         raise ValueError(
             f"cannot join across measures {tgm_a.measure.name!r} and "
@@ -466,7 +456,7 @@ def similarity_join_between(
     bounds = _pair_bound_matrix(
         measure, caps, mins_a, mins_b, tgm_a.size_ranges()[1], tgm_b.size_ranges()[1]
     )
-    view = dataset.columnar() if verify == "columnar" else None
+    view = None if oracle.active() else dataset.columnar()
     jaccard = isinstance(measure, JaccardSimilarity)
     for a, members_a in enumerate(tgm_a.group_members):
         if not members_a:

@@ -7,8 +7,8 @@ layouts that share every file format:
 
     <dir>/                       # flat layout: one LES3
       manifest.json    # measure, backend, universe size, format version,
-                       # verify mode, logically deleted record indices,
-                       # dataset digests, generation epoch (v4)
+                       # logically deleted record indices, dataset
+                       # digests, generation epoch (v4)
       dataset.txt      # one set per line (external tokens) — interchange form
       dataset.bin      # binary columnar dataset (CSR arrays + universe),
                        # the np.memmap target of mode="mmap" loads
@@ -19,12 +19,12 @@ layouts that share every file format:
 
     <dir>/                       # sharded layout: one ShardedLES3
       manifest.json    # sharded manifest v1: placement policy, shard
-                       # count, measure, verify, dataset digests,
-                       # per-shard digests, epoch
+                       # count, measure, dataset digests, per-shard
+                       # digests, epoch
       dataset.txt, dataset.bin, delta.log    # as above, stored once
       shard-NNNN/      # one per shard
-        manifest.json  # the flat layout's manifest (that shard's deleted
-                       # tombstones, the engine's verify) minus the digests
+        manifest.json  # the flat layout's manifest (with that shard's
+                       # deleted tombstones) minus the digests
         groups.json    # the shard's groups, *global* record indices
 
 The TGM is rebuilt from the groups at load time (cheaper than
@@ -62,7 +62,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
-from repro.core.columnar import VERIFY_MODES
 from repro.core.dataset import Dataset
 from repro.core.delta import DeltaSegment, apply_group_ops, apply_insert_op, read_delta_ops
 from repro.core.engine import LES3
@@ -326,25 +325,26 @@ def read_manifest(directory: Path, description: str) -> dict:
     """Read ``manifest.json``, normalised to the current (v4) field set.
 
     The one place that knows what older saves lack: v1 had no delete log
-    and no verify mode (nothing deleted, columnar verification), and
-    saves from before the digests existed carry neither — ``None`` there
-    means "nothing recorded to compare" (for ``dataset_bin_digest``: no
-    binary dataset was written, see :func:`has_binary_dataset`).
+    (nothing deleted), and saves from before the digests existed carry
+    neither — ``None`` there means "nothing recorded to compare" (for
+    ``dataset_bin_digest``: no binary dataset was written, see
+    :func:`has_binary_dataset`).  Saves written before verification had
+    one path carry a ``verify`` field; nothing reads it, whatever its
+    value (the digests, not the field, guard against tampering).
     """
     manifest = read_index_json(directory / "manifest.json", description)
     if not isinstance(manifest, dict):
         raise PersistenceError(f"{description} in {directory} must be a JSON object")
     return {
         "deleted": [],
-        "verify": "columnar",
         "dataset_digest": None,
         "dataset_bin_digest": None,
         **manifest,
     }
 
 
-def parse_manifest_state(manifest: dict, num_records: int) -> tuple[set[int], str]:
-    """Validate and extract a normalised manifest's ``(deleted, verify)``."""
+def parse_deleted(manifest: dict, num_records: int) -> set[int]:
+    """Validate and extract a normalised manifest's ``deleted`` tombstones."""
     deleted_raw = manifest["deleted"]
     if not isinstance(deleted_raw, list) or not all(
         isinstance(index, int) and not isinstance(index, bool)
@@ -354,12 +354,7 @@ def parse_manifest_state(manifest: dict, num_records: int) -> tuple[set[int], st
         raise PersistenceError(
             "manifest 'deleted' must list record indices inside the dataset"
         )
-    verify = manifest["verify"]
-    if verify not in VERIFY_MODES:
-        raise PersistenceError(
-            f"manifest 'verify' must be one of {VERIFY_MODES}, got {verify!r}"
-        )
-    return set(deleted_raw), verify
+    return set(deleted_raw)
 
 
 def read_groups(directory: Path) -> list[list[int]]:
@@ -488,7 +483,6 @@ class Generation(NamedTuple):
 
     dataset: Dataset
     measure: str
-    verify: str
     #: The sharded layout's placement policy; ``None`` marks the flat
     #: layout (whose single engine is the one entry of ``shards``).
     placement: str | None
@@ -561,22 +555,12 @@ def read_generation(directory: str | Path, mode: str = "memory") -> Generation:
             f"{'sharded manifest' if sharded else 'manifest'} says "
             f"{top.get('num_records')!r} — index directory is corrupt"
         )
-    if sharded and top["verify"] not in VERIFY_MODES:
-        raise PersistenceError(
-            f"sharded manifest 'verify' must be one of {VERIFY_MODES}, "
-            f"got {top['verify']!r}"
-        )
     shards: list[tuple[list[list[int]], str, set[int]]] = []
     tombstoned: set[int] = set()
     for shard_dir in shard_dirs:
         manifest = _read_shard_manifest(shard_dir, top, len(dataset)) if sharded else top
-        deleted, verify = parse_manifest_state(manifest, len(dataset))
+        deleted = parse_deleted(manifest, len(dataset))
         groups = read_groups(shard_dir)
-        if verify != top["verify"]:
-            raise PersistenceError(
-                f"shard manifest in {shard_dir} has verify {verify!r}, "
-                f"top-level manifest says {top['verify']!r}"
-            )
         if deleted & tombstoned:
             raise PersistenceError(
                 f"record {min(deleted & tombstoned)} is tombstoned by more than one shard"
@@ -608,7 +592,6 @@ def read_generation(directory: str | Path, mode: str = "memory") -> Generation:
     return Generation(
         dataset,
         top.get("measure"),
-        top["verify"],
         top.get("placement", "custom") if sharded else None,
         shards,
         len(ops),
@@ -670,7 +653,6 @@ def _write_generation(
     directory: str | Path,
     dataset: Dataset,
     measure: str,
-    verify: str,
     placement: str | None,
     shards: Sequence[tuple[list[list[int]], str, list[int]]],
 ) -> None:
@@ -699,7 +681,6 @@ def _write_generation(
                 "backend": backend,
                 "num_records": len(dataset),
                 "universe_size": len(dataset.universe),
-                "verify": verify,
                 "deleted": deleted,
             }
             for _, backend, deleted in shards
@@ -719,7 +700,6 @@ def _write_generation(
             "num_shards": len(shards),
             "placement": placement,
             "measure": measure,
-            "verify": verify,
             "num_records": len(dataset),
             "universe_size": len(dataset.universe),
             **digests,
@@ -732,8 +712,8 @@ def _write_generation(
 def save_engine(engine: LES3, directory: str | Path) -> None:
     """Persist a built engine to ``directory`` (created if missing).
 
-    The engine's dataset, group structure, verify mode, and delete log
-    are all captured; afterwards the directory holds ``manifest.json``,
+    The engine's dataset, group structure and delete log are all
+    captured; afterwards the directory holds ``manifest.json``,
     ``dataset.txt``, ``dataset.bin`` and ``groups.json`` (format v4), and
     the engine is attached to the generation's write-ahead ``delta.log``
     — later inserts/removes are durable there.
@@ -765,7 +745,7 @@ def save_engine(engine: LES3, directory: str | Path) -> None:
     # would silently legitimize it — the load-time coverage check must
     # keep catching that mismatch.
     _write_generation(
-        directory, engine.dataset, engine.measure.name, engine.verify, None,
+        directory, engine.dataset, engine.measure.name, None,
         [(engine.tgm.group_members, engine.tgm.backend, sorted(engine.removed))],
     )
     engine._delta = DeltaSegment(directory)
@@ -777,10 +757,10 @@ def save_sharded(engine: ShardedLES3, directory: str | Path) -> None:
     The sharded counterpart of :func:`save_engine`, with the same crash
     safety and the same ``delta.log`` attachment.  The global dataset is
     written once; every shard gets a subdirectory with the flat layout's
-    ``manifest.json`` (that shard's ``deleted`` tombstones, the engine's
-    ``verify`` mode) and ``groups.json`` (global record indices); the
-    top-level manifest records the placement policy, the shard count,
-    and a digest of every shard's files.  Because each save is a fresh
+    ``manifest.json`` (with that shard's ``deleted`` tombstones) and
+    ``groups.json`` (global record indices); the top-level manifest
+    records the placement policy, the shard count, and a digest of every
+    shard's files.  Because each save is a fresh
     staged directory, stale ``shard-NNNN`` subdirectories of a previous
     save with more shards can never survive a re-save.
     """
@@ -788,8 +768,7 @@ def save_sharded(engine: ShardedLES3, directory: str | Path) -> None:
     for record_index, shard_id in engine.removed.items():
         deleted_of_shard.setdefault(shard_id, []).append(record_index)
     _write_generation(
-        directory, engine.dataset, engine.measure.name, engine.verify,
-        engine.placement,
+        directory, engine.dataset, engine.measure.name, engine.placement,
         [
             (tgm.group_members, tgm.backend, sorted(deleted_of_shard.get(shard_id, [])))
             for shard_id, tgm in enumerate(engine.tgms)

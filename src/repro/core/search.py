@@ -27,12 +27,13 @@ Range search collects the members of every surviving group through the
 same chunked helper and selects with the threshold on the similarity
 vector.
 
-There is one columnar path and one oracle: ``verify="columnar"``
-(default, :mod:`repro.core.columnar`) runs the above over the dataset's
-CSR view with bit-identical similarities; ``verify="scalar"`` is the
-sequential per-group, per-record walk — the algorithm as the paper
-states it, kept as the escape hatch and as the reference every test
-compares the wavefront against.
+There is one verification path and one oracle: every query runs the
+above through the columnar kernel (:mod:`repro.core.columnar`) over the
+dataset's CSR view; the sequential per-group, per-record walk — the
+algorithm as the paper states it — is kept only as the reference every
+test compares the wavefront against, reachable by arming
+:mod:`repro.testing.oracle` (which makes ``make_verifier`` return
+``None``).
 
 The building blocks are exposed for reuse: :func:`query_group_bounds`
 scores one TGM, :func:`knn_visit_groups` / :func:`range_collect_groups`
@@ -389,21 +390,15 @@ def range_search(
     query: SetRecord,
     threshold: float,
     measure: Similarity | None = None,
-    verify: str = "columnar",
 ) -> SearchResult:
-    """All sets with ``Sim(Q, S) >= threshold`` (Definition 2.2).
-
-    ``verify`` picks the verification path: ``"columnar"`` (the
-    vectorized kernel, default) or ``"scalar"`` (the per-record walk).
-    Results are bit-identical either way.
-    """
+    """All sets with ``Sim(Q, S) >= threshold`` (Definition 2.2)."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     measure = measure if measure is not None else tgm.measure
     stats = QueryStats()
     bounds = query_group_bounds(tgm, query, stats)
     matches: list[tuple[int, float]] = []
-    verifier = make_verifier(dataset, query, measure, verify)
+    verifier = make_verifier(dataset, query, measure)
     range_collect_groups(
         dataset, tgm, query, threshold, bounds, matches, stats, measure, verifier
     )
@@ -416,13 +411,8 @@ def knn_search(
     query: SetRecord,
     k: int,
     measure: Similarity | None = None,
-    verify: str = "columnar",
 ) -> SearchResult:
-    """The ``k`` most similar sets (Definition 2.1), best-first over groups.
-
-    ``verify`` picks the verification path (``"columnar"`` kernel or
-    ``"scalar"`` walk); results are bit-identical either way.
-    """
+    """The ``k`` most similar sets (Definition 2.1), best-first over groups."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     measure = measure if measure is not None else tgm.measure
@@ -430,7 +420,7 @@ def knn_search(
     bounds = query_group_bounds(tgm, query, stats)
     heap: list[tuple[float, int]] = []
     zero_candidates: list[list[int]] = []
-    verifier = make_verifier(dataset, query, measure, verify)
+    verifier = make_verifier(dataset, query, measure)
     knn_visit_groups(
         dataset, tgm, query, k, bounds, heap, stats, measure, zero_candidates, verifier
     )

@@ -163,9 +163,6 @@ class ShardedLES3:
         engines are read-only.
     measure : str or Similarity, default ``"jaccard"``
         The similarity measure; must match every shard TGM's measure.
-    verify : {"columnar", "scalar"}, default ``"columnar"``
-        Default candidate-verification path (per-query override on every
-        query method); results are bit-identical either way.
 
     Attributes
     ----------
@@ -194,7 +191,6 @@ class ShardedLES3:
         dataset: Dataset,
         tgms: Sequence[TokenGroupMatrix],
         measure: str | Similarity = "jaccard",
-        verify: str = "columnar",
         *,
         shard_groups: list[list[list[int]]] | None = None,
     ) -> None:
@@ -207,7 +203,6 @@ class ShardedLES3:
         lazy = isinstance(tgms, LazyShardTGMs)
         self.tgms: Sequence[TokenGroupMatrix] = tgms if lazy else list(tgms)
         self.measure = get_measure(measure)
-        self.verify = verify
         self.placement = "custom"
         # Logically deleted record index -> shard it was removed from.
         # Queries never consult this (liveness is group membership); it is
@@ -272,7 +267,6 @@ class ShardedLES3:
         strategy: str = "hash",
         seed: int = 0,
         workers: int | None = None,
-        verify: str = "columnar",
     ) -> "ShardedLES3":
         """Shard the dataset and build one TGM per shard, concurrently.
 
@@ -297,8 +291,6 @@ class ShardedLES3:
         workers : int, optional
             Threads for the concurrent shard builds; defaults to
             ``min(num_shards, cpu_count)``.
-        verify :
-            Default verification path of the engine.
 
         Returns
         -------
@@ -309,10 +301,7 @@ class ShardedLES3:
         measure = get_measure(measure)
         assignments = assign_shards(dataset, num_shards, strategy)
         if not assignments:
-            engine = cls(
-                dataset, [TokenGroupMatrix(dataset, [], measure, backend)],
-                measure, verify,
-            )
+            engine = cls(dataset, [TokenGroupMatrix(dataset, [], measure, backend)], measure)
             engine.placement = strategy
             return engine
         if partitioner_factory is None:
@@ -343,7 +332,7 @@ class ShardedLES3:
             shard_builder(shard_id, indices)
             for shard_id, indices in enumerate(assignments)
         ]
-        engine = cls(dataset, _build_concurrently(builders, workers), measure, verify)
+        engine = cls(dataset, _build_concurrently(builders, workers), measure)
         engine.placement = strategy
         return engine
 
@@ -365,7 +354,7 @@ class ShardedLES3:
         """
         return cls._from_groups(
             engine.dataset, engine.tgm.group_members, engine.measure,
-            engine.tgm.backend, engine.verify, engine.removed, num_shards, workers,
+            engine.tgm.backend, engine.removed, num_shards, workers,
         )
 
     @classmethod
@@ -375,7 +364,6 @@ class ShardedLES3:
         groups: Sequence[Sequence[int]],
         measure: Similarity,
         backend: str,
-        verify: str,
         removed: Iterable[int],
         num_shards: int,
         workers: int | None,
@@ -395,7 +383,7 @@ class ShardedLES3:
             return build
 
         builders = [shard_builder(assigned) for assigned in shard_groups]
-        sharded = cls(dataset, _build_concurrently(builders, workers), measure, verify=verify)
+        sharded = cls(dataset, _build_concurrently(builders, workers), measure)
         sharded.placement = "lpt"
         sharded.removed = {record_index: 0 for record_index in removed}
         return sharded
@@ -508,11 +496,6 @@ class ShardedLES3:
             for i, query in enumerate(queries)
         ]
 
-    # -- mode resolution ---------------------------------------------------
-
-    def _verify_mode(self, verify: str | None) -> str:
-        return self.verify if verify is None else verify
-
     # -- kNN ---------------------------------------------------------------
 
     def _gather_knn(
@@ -520,7 +503,6 @@ class ShardedLES3:
         query: SetRecord,
         k: int,
         bounds: np.ndarray,
-        verify: str,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """Scatter-gather kNN given precomputed shard bounds (exact).
@@ -533,7 +515,7 @@ class ShardedLES3:
         order = sorted(range(self.num_shards), key=lambda s: (-bounds[s], s))
         heap: list[tuple[float, int]] = []
         zero_candidates: list[list[int]] = []
-        verifier = make_verifier(self.dataset, query, self.measure, verify)
+        verifier = make_verifier(self.dataset, query, self.measure)
         for position, shard_id in enumerate(order):
             if deadline is not None:
                 deadline.check(f"scatter-gather at shard {shard_id}")
@@ -564,7 +546,6 @@ class ShardedLES3:
         self,
         query: SetRecord,
         k: int,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """kNN search with a pre-interned query record."""
@@ -572,28 +553,23 @@ class ShardedLES3:
             raise ValueError(f"k must be positive, got {k}")
         if deadline is not None:
             deadline.check("before query execution")
-        return self._gather_knn(
-            query, k, self.shard_bounds(query), self._verify_mode(verify), deadline
-        )
+        return self._gather_knn(query, k, self.shard_bounds(query), deadline)
 
     def knn(
         self,
         query_tokens: Sequence[Hashable],
         k: int,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """kNN search over external tokens."""
         return self.knn_record(
-            as_query_record(self.dataset, query_tokens), k,
-            verify=verify, deadline=deadline,
+            as_query_record(self.dataset, query_tokens), k, deadline=deadline
         )
 
     def batch_knn_record(
         self,
         queries: Sequence[SetRecord],
         k: int,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchResult]:
         """kNN for every query; shard scoring is one matrix product."""
@@ -602,9 +578,8 @@ class ShardedLES3:
         if deadline is not None:
             deadline.check("before query execution")
         bound_rows = self._batch_shard_bound_rows(queries)
-        verify = self._verify_mode(verify)
         return [
-            self._gather_knn(query, k, bound_rows[i], verify, deadline)
+            self._gather_knn(query, k, bound_rows[i], deadline)
             for i, query in enumerate(queries)
         ]
 
@@ -615,7 +590,6 @@ class ShardedLES3:
         query: SetRecord,
         threshold: float,
         bounds: np.ndarray,
-        verify: str,
         precomputed: dict[int, np.ndarray] | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
@@ -625,7 +599,7 @@ class ShardedLES3:
         """
         stats = QueryStats()
         matches: list[tuple[int, float]] = []
-        verifier = make_verifier(self.dataset, query, self.measure, verify)
+        verifier = make_verifier(self.dataset, query, self.measure)
         for shard_id in range(self.num_shards):
             if deadline is not None:
                 deadline.check(f"scatter-gather at shard {shard_id}")
@@ -649,7 +623,6 @@ class ShardedLES3:
         self,
         query: SetRecord,
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """Range search with a pre-interned query record."""
@@ -657,29 +630,23 @@ class ShardedLES3:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         if deadline is not None:
             deadline.check("before query execution")
-        return self._gather_range(
-            query, threshold, self.shard_bounds(query), self._verify_mode(verify),
-            None, deadline,
-        )
+        return self._gather_range(query, threshold, self.shard_bounds(query), None, deadline)
 
     def range(
         self,
         query_tokens: Sequence[Hashable],
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> SearchResult:
         """Range search over external tokens."""
         return self.range_record(
-            as_query_record(self.dataset, query_tokens), threshold,
-            verify=verify, deadline=deadline,
+            as_query_record(self.dataset, query_tokens), threshold, deadline=deadline
         )
 
     def batch_range_record(
         self,
         queries: Sequence[SetRecord],
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> list[SearchResult]:
         """Range search for every query.
@@ -709,11 +676,8 @@ class ShardedLES3:
                 per_query_bounds[i][shard_id] = tgm.bounds_from_counts(
                     counts[row], len(queries[i])
                 )
-        verify = self._verify_mode(verify)
         return [
-            self._gather_range(
-                query, threshold, bound_rows[i], verify, per_query_bounds[i], deadline
-            )
+            self._gather_range(query, threshold, bound_rows[i], per_query_bounds[i], deadline)
             for i, query in enumerate(queries)
         ]
 
@@ -722,7 +686,6 @@ class ShardedLES3:
     def join(
         self,
         threshold: float,
-        verify: str | None = None,
         deadline: Deadline | None = None,
     ) -> JoinResult:
         """Exact similarity self-join over all shards (scatter-gather).
@@ -741,7 +704,6 @@ class ShardedLES3:
         sorted result is bit-identical to a single-engine join for any
         shard count, placement, or per-shard partitioner.
         """
-        mode = self._verify_mode(verify)
         if deadline is not None:
             deadline.check("before query execution")
         stats = QueryStats()
@@ -792,8 +754,7 @@ class ShardedLES3:
                 deadline.check("join task")
             fault_point("shard.exec", f"join_self:shard={s}")
             result = similarity_self_join(
-                self.dataset, self.tgms[s], threshold, verify=mode,
-                profiles=profiles[s],
+                self.dataset, self.tgms[s], threshold, profiles=profiles[s],
             )
             pairs.extend(result.pairs)
             stats.merge(result.stats)
@@ -802,7 +763,7 @@ class ShardedLES3:
                 deadline.check("join task")
             fault_point("shard.exec", f"join_between:shard={s}")
             result = similarity_join_between(
-                self.dataset, self.tgms[s], self.tgms[t], threshold, verify=mode,
+                self.dataset, self.tgms[s], self.tgms[t], threshold,
                 profiles_a=profiles[s], profiles_b=profiles[t],
             )
             pairs.extend(result.pairs)

@@ -116,7 +116,7 @@ def rebalance_index(
     removed = [index for _, _, deleted in source.shards for index in deleted]
     engine = ShardedLES3._from_groups(
         source.dataset, groups, get_measure(source.measure), source.shards[0][1],
-        source.verify, removed, num_shards, workers,
+        removed, num_shards, workers,
     )
     save_sharded(engine, directory)
     return {

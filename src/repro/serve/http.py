@@ -23,12 +23,11 @@ and land in the loaded generation's write-ahead ``delta.log`` when the
 index came from a save — so they survive a restart.  A write against a
 lazily loaded (read-only) index answers 400.
 
-Query bodies may also carry a ``verify`` override — the same canonical
-kwarg the Python API takes (:class:`repro.api.QueryRequest` validates it
-identically) — plus ``timeout_ms`` (a per-request deadline, anchored at
-admission).  Responses are JSON; errors are JSON too
-(``{"error": ...}``) with conventional status codes: 400 malformed
-request, 404 unknown path, 405 wrong method, 413 oversized body, 503
+Query bodies may also carry ``timeout_ms`` (a per-request deadline,
+anchored at admission); :class:`repro.api.QueryRequest` validates every
+body field exactly as the Python API does.  Responses are JSON; errors
+are JSON too (``{"error": ...}``) with conventional status codes: 400
+malformed request (unparsable body included), 404 unknown path, 405 wrong method, 413 oversized body, 503
 not-ready or overloaded (with ``Retry-After``), 504 deadline exceeded.
 See ``docs/operations.md`` for deadlines and the graceful SIGTERM drain.
 
@@ -88,6 +87,22 @@ _REASONS = {
 }
 
 
+def _decode_body(body: bytes) -> object:
+    """A request body's JSON value (``{}`` when empty).
+
+    Every way a body can fail to parse raises ``ValueError``, which both
+    POST handlers answer with 400: malformed JSON, bytes that are not
+    valid UTF-8 (``UnicodeDecodeError``), and nesting deep enough to
+    exhaust the decoder's recursion limit (``RecursionError``).
+    """
+    if not body:
+        return {}
+    try:
+        return json.loads(body)
+    except (ValueError, RecursionError) as error:
+        raise ValueError(f"request body is not valid JSON: {error}") from None
+
+
 def _response_bytes(status: int, payload: dict, extra_headers: dict | None = None) -> bytes:
     body = json.dumps(payload).encode()
     headers = [
@@ -121,7 +136,6 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 8722,
         mode: str = "memory",
-        verify: str | None = None,
         max_batch: int = 64,
         max_queue: int = 256,
         concurrency: int = 1,
@@ -134,7 +148,6 @@ class ReproServer:
         self.host = host
         self.port = port
         self.mode = mode
-        self.verify = verify
         self.drain_seconds = drain_seconds
         self._service_options = {
             "max_batch": max_batch,
@@ -169,9 +182,7 @@ class ReproServer:
         try:
             service = QueryService(self._preloaded, **self._service_options)
             if service.engine is None:
-                await service.load(
-                    lambda: load(self.directory, mode=self.mode, verify=self.verify)
-                )
+                await service.load(lambda: load(self.directory, mode=self.mode))
             await service.start()
             self.engine = service.engine
             self.service = service
@@ -342,11 +353,7 @@ class ReproServer:
                 return 503, {"error": f"index failed to load: {self._load_error}"}, {}
             return 503, {"error": "index is still loading"}, {"Retry-After": "1"}
         try:
-            payload = json.loads(body) if body else {}
-        except json.JSONDecodeError as error:
-            return 400, {"error": f"request body is not valid JSON: {error}"}, {}
-        try:
-            request = QueryRequest.from_payload(kind, payload)
+            request = QueryRequest.from_payload(kind, _decode_body(body))
         except ValueError as error:
             return 400, {"error": str(error)}, {}
         try:
@@ -368,11 +375,7 @@ class ReproServer:
                 return 503, {"error": f"index failed to load: {self._load_error}"}, {}
             return 503, {"error": "index is still loading"}, {"Retry-After": "1"}
         try:
-            payload = json.loads(body) if body else {}
-        except json.JSONDecodeError as error:
-            return 400, {"error": f"request body is not valid JSON: {error}"}, {}
-        try:
-            request = WriteRequest.from_payload(kind, payload)
+            request = WriteRequest.from_payload(kind, _decode_body(body))
         except ValueError as error:
             return 400, {"error": str(error)}, {}
         try:

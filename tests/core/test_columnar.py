@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnarView, make_verifier
+from repro.core.columnar import ColumnarView, GroupVerifier, make_verifier
 from repro.core.dataset import Dataset
 from repro.core.sets import SetRecord
 from repro.core.similarity import MEASURES, Similarity, get_measure
 from repro.core.tokens import TokenUniverse
+from repro.testing import oracle
 
 
 def random_dataset(seed: int, num_sets: int = 60, num_tokens: int = 80, multisets: bool = False) -> Dataset:
@@ -146,14 +147,20 @@ class TestGroupVerifier:
 
 
 class TestMakeVerifier:
-    def test_scalar_mode_returns_none(self):
+    def test_armed_oracle_returns_none(self):
         dataset = random_dataset(20)
-        assert make_verifier(dataset, dataset.records[0], get_measure("jaccard"), "scalar") is None
+        query, measure = dataset.records[0], get_measure("jaccard")
+        assert isinstance(make_verifier(dataset, query, measure), GroupVerifier)
+        assert isinstance(make_verifier(dataset, query, measure, "columnar"), GroupVerifier)
+        with oracle.armed():
+            assert make_verifier(dataset, query, measure, "columnar") is None
+        assert isinstance(make_verifier(dataset, query, measure), GroupVerifier)
 
     def test_unknown_mode_raises(self):
         dataset = random_dataset(21)
-        with pytest.raises(ValueError, match="unknown verify mode"):
-            make_verifier(dataset, dataset.records[0], get_measure("jaccard"), "simd")
+        for mode in ("scalar", "simd", "Columnar"):
+            with pytest.raises(ValueError, match="unknown verification kernel"):
+                make_verifier(dataset, dataset.records[0], get_measure("jaccard"), mode)
 
 
 overlap_triples = st.tuples(

@@ -1,5 +1,7 @@
 """Tests for logical deletion (tombstones) in the TGM and engine."""
 
+from contextlib import nullcontext
+
 import pytest
 
 import repro
@@ -15,6 +17,7 @@ from repro.core.persistence import save_engine
 from repro.core.updates import remove_set
 from repro.maintenance import compact_index
 from repro.partitioning import MinTokenPartitioner
+from repro.testing import oracle
 from repro.workloads import sample_queries
 
 
@@ -152,8 +155,9 @@ class TestEngineLifecycle:
         else:
             compact_index(tmp_path / "idx")
             engine = repro.load(tmp_path / "idx")
-        for verify in ("columnar", "scalar"):
-            result = engine.knn(["a", "b"], k=4, verify=verify)
+        for verification in (nullcontext(), oracle.armed()):
+            with verification:
+                result = engine.knn(["a", "b"], k=4)
             assert [index for index, sim in result.matches if sim > 0.0] == expected
             assert 0 not in result.indices()
 

@@ -1,12 +1,13 @@
 """Tests for the TGM-accelerated similarity self-join.
 
-The columnar verification path (``verify="columnar"``, the default) must
-return bit-identical pairs to the scalar per-pair walk — same records,
+The columnar verification kernel must return bit-identical pairs to the
+scalar per-pair walk armed by :mod:`repro.testing.oracle` — same records,
 same float64 similarities, same order — for every measure, backend, tiling
 budget, and after updates.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -19,6 +20,17 @@ from repro.core import (
 )
 from repro.datasets import zipf_dataset
 from repro.partitioning import MinTokenPartitioner
+from repro.testing import oracle
+
+
+def verification(verify):
+    """The scalar oracle for ``"scalar"``, the columnar kernel otherwise."""
+    return oracle.armed() if verify == "scalar" else nullcontext()
+
+
+def scalar_self_join(*args, **kwargs):
+    with oracle.armed():
+        return similarity_self_join(*args, **kwargs)
 
 
 def brute_force_join(dataset, threshold, measure):
@@ -68,7 +80,8 @@ class TestExactness:
         """
         dataset = Dataset.from_token_lists([["a", "a"], ["a", "a"], ["b"]])
         tgm = TokenGroupMatrix(dataset, groups)
-        assert similarity_self_join(dataset, tgm, 0.5, verify).pairs == [(0, 1, 1.0)]
+        with verification(verify):
+            assert similarity_self_join(dataset, tgm, 0.5).pairs == [(0, 1, 1.0)]
 
 
 class TestPruning:
@@ -102,7 +115,7 @@ class TestPruning:
 
 
 class TestColumnarEquivalence:
-    """verify="columnar" must be a pure throughput knob: identical pairs."""
+    """The kernel must match the scalar oracle: identical pairs."""
 
     @pytest.mark.parametrize(
         "measure", sorted(["jaccard", "dice", "cosine", "overlap", "containment"])
@@ -112,19 +125,17 @@ class TestColumnarEquivalence:
         partition = MinTokenPartitioner().partition(zipf_small, 10)
         tgm = TokenGroupMatrix(zipf_small, partition.groups, measure, backend)
         for threshold in (0.4, 0.8):
-            scalar = similarity_self_join(zipf_small, tgm, threshold, verify="scalar")
-            columnar = similarity_self_join(zipf_small, tgm, threshold, verify="columnar")
+            scalar = scalar_self_join(zipf_small, tgm, threshold)
+            columnar = similarity_self_join(zipf_small, tgm, threshold)
             assert columnar.pairs == scalar.pairs  # identical floats, identical order
             assert columnar.pairs == brute_force_join(zipf_small, threshold, tgm.measure)
 
     def test_tiny_tiling_budget_is_exact(self, indexed):
         """max_cells=1 forces single-record tiles; pairs must not change."""
         dataset, tgm = indexed
-        expected = similarity_self_join(dataset, tgm, 0.5, verify="scalar").pairs
+        expected = scalar_self_join(dataset, tgm, 0.5).pairs
         for max_cells in (1, 7, 64):
-            tiled = similarity_self_join(
-                dataset, tgm, 0.5, verify="columnar", max_cells=max_cells
-            )
+            tiled = similarity_self_join(dataset, tgm, 0.5, max_cells=max_cells)
             assert tiled.pairs == expected
 
     def test_multiset_records(self):
@@ -137,8 +148,8 @@ class TestColumnarEquivalence:
         )
         partition = MinTokenPartitioner().partition(dataset, 6)
         tgm = TokenGroupMatrix(dataset, partition.groups)
-        scalar = similarity_self_join(dataset, tgm, 0.5, verify="scalar")
-        columnar = similarity_self_join(dataset, tgm, 0.5, verify="columnar")
+        scalar = scalar_self_join(dataset, tgm, 0.5)
+        columnar = similarity_self_join(dataset, tgm, 0.5)
         assert columnar.pairs == scalar.pairs
         assert columnar.pairs == brute_force_join(dataset, 0.5, tgm.measure)
 
@@ -151,14 +162,17 @@ class TestColumnarEquivalence:
         engine.remove(3)
         engine.remove(41)
         for threshold in (0.3, 0.7):
-            scalar = engine.join(threshold, verify="scalar")
-            columnar = engine.join(threshold, verify="columnar")
+            with oracle.armed():
+                scalar = engine.join(threshold)
+            columnar = engine.join(threshold)
             assert columnar.pairs == scalar.pairs
             assert not any(x in (3, 41) or y in (3, 41) for x, y, _ in columnar.pairs)
 
-    def test_engine_default_mode(self, zipf_small):
+    def test_engine_join_matches_oracle(self, zipf_small):
         engine = LES3.build(zipf_small, num_groups=8, partitioner=MinTokenPartitioner())
-        assert engine.join(0.6).pairs == engine.join(0.6, verify="scalar").pairs
+        with oracle.armed():
+            scalar = engine.join(0.6)
+        assert engine.join(0.6).pairs == scalar.pairs
 
 
 class TestJoinBetween:
@@ -172,22 +186,22 @@ class TestJoinBetween:
         for threshold in (0.4, 0.7):
             expected = similarity_self_join(zipf_small, tgm_all, threshold).pairs
             for verify in ("scalar", "columnar"):
-                tiled = sorted(
-                    similarity_self_join(zipf_small, tgm_a, threshold, verify).pairs
-                    + similarity_self_join(zipf_small, tgm_b, threshold, verify).pairs
-                    + similarity_join_between(
-                        zipf_small, tgm_a, tgm_b, threshold, verify
-                    ).pairs
-                )
+                with verification(verify):
+                    tiled = sorted(
+                        similarity_self_join(zipf_small, tgm_a, threshold).pairs
+                        + similarity_self_join(zipf_small, tgm_b, threshold).pairs
+                        + similarity_join_between(zipf_small, tgm_a, tgm_b, threshold).pairs
+                    )
                 assert tiled == expected
 
     def test_overlapping_tgms_never_self_pair(self):
-        """A record the TGMs share is skipped identically in both modes."""
+        """A record the TGMs share is skipped identically by kernel and oracle."""
         dataset = Dataset.from_token_lists([["a", "b"], ["a", "b", "c"], ["x", "y"]])
         tgm_a = TokenGroupMatrix(dataset, [[0, 1]])
         tgm_b = TokenGroupMatrix(dataset, [[0, 2]])
-        scalar = similarity_join_between(dataset, tgm_a, tgm_b, 0.5, "scalar")
-        columnar = similarity_join_between(dataset, tgm_a, tgm_b, 0.5, "columnar")
+        with oracle.armed():
+            scalar = similarity_join_between(dataset, tgm_a, tgm_b, 0.5)
+        columnar = similarity_join_between(dataset, tgm_a, tgm_b, 0.5)
         assert columnar.pairs == scalar.pairs
         assert all(x != y for x, y, _ in columnar.pairs)
 
@@ -223,10 +237,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             similarity_self_join(dataset, tgm, 1.5)
 
-    def test_invalid_verify_mode(self, indexed):
+    def test_verify_keyword_is_gone(self, indexed):
         dataset, tgm = indexed
-        with pytest.raises(ValueError, match="verify"):
-            similarity_self_join(dataset, tgm, 0.5, verify="quantum")
+        with pytest.raises(TypeError, match="verify"):
+            similarity_self_join(dataset, tgm, 0.5, verify="scalar")
 
     def test_result_iterable_and_sized(self, indexed):
         dataset, tgm = indexed

@@ -1,7 +1,8 @@
 """Single-engine out-of-core loads: ``repro.load(..., mode="mmap")``.
 
 Contract: an mmap load answers knn/range/join bit-identically to the
-in-memory text load of the same save — deletes and verify mode included —
+in-memory text load of the same save — deletes included, and under the
+scalar verification oracle too —
 without materializing the dataset's records; pre-v3 directories (no
 ``dataset.bin``) and directories whose binary header disagrees with the
 manifest refuse to load.
@@ -17,6 +18,7 @@ import repro
 from repro.core import LES3, Dataset, PersistenceError, save_engine
 from repro.partitioning import MinTokenPartitioner
 from repro.storage.columnar_file import LazyRecords
+from repro.testing import oracle
 from repro.workloads import sample_queries
 
 
@@ -55,11 +57,9 @@ class TestMmapEquivalence:
         memory = repro.load(index_dir)
         mapped = repro.load(index_dir, mode="mmap")
         tokens = [str(t) for t in memory.tokens_of(0)]
-        assert (
-            memory.knn(tokens, k=4, verify="scalar").matches
-            == mapped.knn(tokens, k=4, verify="scalar").matches
-            == mapped.knn(tokens, k=4, verify="columnar").matches
-        )
+        columnar = mapped.knn(tokens, k=4).matches
+        with oracle.armed():
+            assert memory.knn(tokens, k=4).matches == mapped.knn(tokens, k=4).matches == columnar
 
     def test_mmap_load_does_not_materialize_records(self, index_dir):
         mapped = repro.load(index_dir, mode="mmap")
@@ -111,10 +111,9 @@ class TestMmapRefusals:
         for field in ("dataset_digest", "dataset_bin_digest"):
             manifest.pop(field, None)
         if version == 1:
-            for field in ("verify", "deleted"):
-                manifest.pop(field, None)
+            manifest.pop("deleted", None)
         (index_dir / "manifest.json").write_text(json.dumps(manifest))
-        assert repro.load(index_dir).verify == "columnar"  # memory path is fine
+        assert repro.load(index_dir).num_groups > 0  # memory path is fine
         with pytest.raises(PersistenceError, match="saved before format v3"):
             repro.load(index_dir, mode="mmap")
 

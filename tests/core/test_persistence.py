@@ -103,13 +103,18 @@ class TestDeleteRoundTrip:
         self.assert_same_answers(engine, loaded, sample_queries(engine.dataset, 6, seed=45))
         assert loaded.join(0.5).pairs == engine.join(0.5).pairs
 
-    def test_verify_mode_round_trips(self, engine, tmp_path):
-        engine.verify = "scalar"
+    @pytest.mark.parametrize("value", ["columnar", "scalar", "Columnar", "scalr", 7])
+    def test_manifest_verify_field_is_ignored(self, engine, tmp_path, value):
+        """Saves no longer write 'verify'; older saves' field loads whatever it holds."""
         save_engine(engine, tmp_path / "index")
-        assert repro.load(tmp_path / "index").verify == "scalar"
-        engine.verify = "columnar"
-        save_engine(engine, tmp_path / "index")
-        assert repro.load(tmp_path / "index").verify == "columnar"
+        manifest_path = tmp_path / "index" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "verify" not in manifest
+        manifest["verify"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = repro.load(tmp_path / "index")
+        assert not hasattr(loaded, "verify")
+        self.assert_same_answers(engine, loaded, sample_queries(engine.dataset, 4, seed=46))
 
     def test_v1_directories_still_load(self, engine, tmp_path):
         """Pre-delete-aware manifests (format 1) must keep loading."""
@@ -118,11 +123,9 @@ class TestDeleteRoundTrip:
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
         del manifest["deleted"]
-        del manifest["verify"]
         manifest_path.write_text(json.dumps(manifest))
         loaded = repro.load(tmp_path / "index")
         assert loaded.removed == set()
-        assert loaded.verify == "columnar"
         assert loaded.tgm.num_groups == engine.tgm.num_groups
 
     def test_deleted_out_of_range_rejected(self, engine, tmp_path):
@@ -132,16 +135,6 @@ class TestDeleteRoundTrip:
         manifest["deleted"] = [len(engine.dataset) + 5]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="deleted"):
-            repro.load(tmp_path / "index")
-
-    def test_unknown_verify_mode_rejected(self, engine, tmp_path):
-        """A corrupt 'verify' fails at load, not at the first query."""
-        save_engine(engine, tmp_path / "index")
-        manifest_path = tmp_path / "index" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["verify"] = "scalr"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="verify"):
             repro.load(tmp_path / "index")
 
     def test_orphaned_record_is_not_laundered_into_tombstone(self, engine, tmp_path):

@@ -1,10 +1,13 @@
-"""scalar vs columnar verification must be bit-identical on every path.
+"""The columnar kernel must be bit-identical to the scalar oracle on every path.
 
-``verify="columnar"`` is purely a throughput knob: knn, range, batch, and
-sharded scatter-gather queries must return the same records with the same
-similarity floats in the same order as ``verify="scalar"``, and the cost
-counters (``candidates_verified``, ``similarity_computations``) must agree
-exactly.  Randomized datasets, sets and multisets, all measures.
+Every query verifies through the columnar kernel; the sequential
+``measure(query, record)`` walk survives only as the oracle, armed with
+:func:`repro.testing.oracle.armed`.  knn, range, batch, and sharded
+scatter-gather queries must return the same records with the same
+similarity floats in the same order under the oracle, and the cost
+counters (``candidates_verified``, ``similarity_computations``,
+``groups_pruned``) must agree exactly.  Randomized datasets, sets and
+multisets, all measures.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ import pytest
 
 from repro.core import search
 from repro.core.batch import batch_knn_search, batch_range_search
+from repro.core.columnar import ColumnarView
 from repro.core.dataset import Dataset
 from repro.core.engine import LES3
 from repro.core.sets import SetRecord
 from repro.datasets import zipf_dataset
 from repro.distributed import ShardedLES3
 from repro.partitioning import MinTokenPartitioner
+from repro.testing import oracle
 from repro.workloads import perturbed_queries, sample_queries
 
 
@@ -41,6 +46,19 @@ def assert_same_result(a, b):
     assert a.stats.groups_pruned == b.stats.groups_pruned
 
 
+def assert_matches_oracle(run):
+    """``run()`` through the kernel equals ``run()`` under the scalar oracle."""
+    columnar = run()
+    with oracle.armed():
+        scalar = run()
+    if isinstance(columnar, list):
+        assert len(scalar) == len(columnar)
+        for a, b in zip(scalar, columnar):
+            assert_same_result(a, b)
+    else:
+        assert_same_result(scalar, columnar)
+
+
 class TestSingleEngine:
     @pytest.mark.parametrize("measure", sorted(["jaccard", "dice", "cosine", "overlap", "containment"]))
     @pytest.mark.parametrize("make", [lambda: zipf_dataset(150, 250, (2, 8), seed=5),
@@ -56,23 +74,30 @@ class TestSingleEngine:
         queries = sample_queries(dataset, 8, seed=1) + perturbed_queries(dataset, 8, seed=2)
         for query in queries:
             for k in (1, 4, 12, len(dataset) + 5):
-                assert_same_result(
-                    engine.knn_record(query, k, verify="scalar"),
-                    engine.knn_record(query, k, verify="columnar"),
-                )
+                assert_matches_oracle(lambda: engine.knn_record(query, k))
             for threshold in (0.0, 0.35, 0.7, 1.0):
-                assert_same_result(
-                    engine.range_record(query, threshold, verify="scalar"),
-                    engine.range_record(query, threshold, verify="columnar"),
-                )
+                assert_matches_oracle(lambda: engine.range_record(query, threshold))
 
-    def test_engine_default_mode_is_columnar_and_overridable(self):
+    def test_armed_oracle_bypasses_the_kernel(self, monkeypatch):
+        """The comparisons above are only meaningful if arming swaps the path."""
         dataset = zipf_dataset(80, 120, (2, 6), seed=9)
         engine = LES3.build(dataset, num_groups=4, partitioner=MinTokenPartitioner())
-        assert engine.verify == "columnar"
-        scalar_engine = LES3(dataset, engine.tgm, verify="scalar")
-        query = dataset.records[0]
-        assert_same_result(engine.knn_record(query, 5), scalar_engine.knn_record(query, 5))
+        expected = [engine.knn_record(dataset.records[0], 5), engine.join(0.5)]
+
+        def kernel_called(*args, **kwargs):
+            raise AssertionError("the columnar kernel ran under the oracle")
+
+        monkeypatch.setattr(ColumnarView, "overlaps", kernel_called)
+        monkeypatch.setattr(ColumnarView, "pairwise_overlaps", kernel_called)
+        with pytest.raises(AssertionError, match="kernel ran"):
+            engine.knn_record(dataset.records[0], 5)
+        with oracle.armed():
+            assert oracle.active()
+            knn = engine.knn_record(dataset.records[0], 5)
+            joined = engine.join(0.5)
+        assert not oracle.active()
+        assert knn.matches == expected[0].matches
+        assert joined.pairs == expected[1].pairs
 
     def test_roaring_backend(self):
         dataset = zipf_dataset(100, 150, (2, 7), seed=12)
@@ -80,14 +105,8 @@ class TestSingleEngine:
             dataset, num_groups=6, partitioner=MinTokenPartitioner(), backend="roaring"
         )
         for query in sample_queries(dataset, 6, seed=3):
-            assert_same_result(
-                engine.knn_record(query, 5, verify="scalar"),
-                engine.knn_record(query, 5, verify="columnar"),
-            )
-            assert_same_result(
-                engine.range_record(query, 0.5, verify="scalar"),
-                engine.range_record(query, 0.5, verify="columnar"),
-            )
+            assert_matches_oracle(lambda: engine.knn_record(query, 5))
+            assert_matches_oracle(lambda: engine.range_record(query, 0.5))
 
 
 class TestBatch:
@@ -96,15 +115,11 @@ class TestBatch:
         engine = LES3.build(dataset, num_groups=6, partitioner=MinTokenPartitioner())
         queries = sample_queries(dataset, 10, seed=4) + perturbed_queries(dataset, 6, seed=5)
         for threshold in (0.0, 0.5, 0.9):
-            scalar = batch_range_search(dataset, engine.tgm, queries, threshold, verify="scalar")
-            columnar = batch_range_search(dataset, engine.tgm, queries, threshold, verify="columnar")
-            for a, b in zip(scalar, columnar):
-                assert_same_result(a, b)
+            assert_matches_oracle(
+                lambda: batch_range_search(dataset, engine.tgm, queries, threshold)
+            )
         for k in (1, 7, len(dataset) + 5):
-            scalar = batch_knn_search(dataset, engine.tgm, queries, k, verify="scalar")
-            columnar = batch_knn_search(dataset, engine.tgm, queries, k, verify="columnar")
-            for a, b in zip(scalar, columnar):
-                assert_same_result(a, b)
+            assert_matches_oracle(lambda: batch_knn_search(dataset, engine.tgm, queries, k))
 
 
 class TestSharded:
@@ -115,35 +130,13 @@ class TestSharded:
             dataset, shards, num_groups=8,
             partitioner_factory=lambda shard_id: MinTokenPartitioner(),
         )
-        assert sharded.verify == "columnar"
         queries = sample_queries(dataset, 8, seed=6) + perturbed_queries(dataset, 6, seed=7)
         for query in queries:
             for k in (1, 6, len(dataset) + 5):
-                assert_same_result(
-                    sharded.knn_record(query, k, verify="scalar"),
-                    sharded.knn_record(query, k, verify="columnar"),
-                )
-            assert_same_result(
-                sharded.range_record(query, 0.4, verify="scalar"),
-                sharded.range_record(query, 0.4, verify="columnar"),
-            )
-        for a, b in zip(
-            sharded.batch_knn_record(queries, 5, verify="scalar"),
-            sharded.batch_knn_record(queries, 5, verify="columnar"),
-        ):
-            assert_same_result(a, b)
-        for a, b in zip(
-            sharded.batch_range_record(queries, 0.6, verify="scalar"),
-            sharded.batch_range_record(queries, 0.6, verify="columnar"),
-        ):
-            assert_same_result(a, b)
-
-    def test_from_engine_inherits_verify_mode(self):
-        dataset = zipf_dataset(60, 100, (2, 6), seed=29)
-        engine = LES3.build(
-            dataset, num_groups=4, partitioner=MinTokenPartitioner(), verify="scalar"
-        )
-        assert ShardedLES3.from_engine(engine, 2).verify == "scalar"
+                assert_matches_oracle(lambda: sharded.knn_record(query, k))
+            assert_matches_oracle(lambda: sharded.range_record(query, 0.4))
+        assert_matches_oracle(lambda: sharded.batch_knn_record(queries, 5))
+        assert_matches_oracle(lambda: sharded.batch_range_record(queries, 0.6))
 
     def test_multiset_sharded(self):
         dataset = multiset_dataset(31)
@@ -152,10 +145,7 @@ class TestSharded:
             partitioner_factory=lambda shard_id: MinTokenPartitioner(),
         )
         for query in dataset.records[:8]:
-            assert_same_result(
-                sharded.knn_record(query, 4, verify="scalar"),
-                sharded.knn_record(query, 4, verify="columnar"),
-            )
+            assert_matches_oracle(lambda: sharded.knn_record(query, 4))
 
 
 class TestUpdates:
@@ -172,11 +162,5 @@ class TestUpdates:
             SetRecord([0, 1, len(dataset.universe) + 3]),  # phantom token
         ]
         for query in queries:
-            assert_same_result(
-                engine.knn_record(query, 5, verify="scalar"),
-                engine.knn_record(query, 5, verify="columnar"),
-            )
-            assert_same_result(
-                engine.range_record(query, 0.3, verify="scalar"),
-                engine.range_record(query, 0.3, verify="columnar"),
-            )
+            assert_matches_oracle(lambda: engine.knn_record(query, 5))
+            assert_matches_oracle(lambda: engine.range_record(query, 0.3))

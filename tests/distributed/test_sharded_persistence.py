@@ -15,7 +15,7 @@ import shutil
 import pytest
 
 import repro
-from repro.core import LES3, Dataset, PersistenceError, save_engine
+from repro.core import LES3, Dataset, PersistenceError
 from repro.datasets import zipf_dataset
 from repro.distributed import ShardedLES3, save_sharded
 from repro.core.persistence import shard_dir_name
@@ -101,11 +101,9 @@ class TestRoundTrip:
 
     def test_metadata_round_trips(self, dataset, tmp_path):
         engine = build_sharded(dataset, 4, strategy="size")
-        engine.verify = "scalar"
         save_sharded(engine, tmp_path / "idx")
         loaded = repro.load(tmp_path / "idx")
         assert loaded.placement == "size"
-        assert loaded.verify == "scalar"
         assert loaded.measure.name == "jaccard"
 
     def test_from_engine_tombstones_carry_over(self, dataset, tmp_path):
@@ -219,20 +217,24 @@ class TestCorruptionDetection:
         with pytest.raises(PersistenceError, match="dataset.txt digest"):
             repro.load(saved)
 
-    def test_shard_verify_mismatch_despite_matching_digest(self, saved):
-        """The top-level verify mode rules; a disagreeing shard is corrupt."""
+    def test_verify_fields_are_ignored_even_when_they_disagree(self, saved):
+        """Older saves carry 'verify' per manifest; nothing reads it any more."""
+        expected = repro.load(saved).knn(["1", "2", "3"], k=5)
         shard_dir = saved / shard_dir_name(2)
         manifest = json.loads((shard_dir / "manifest.json").read_text())
+        assert "verify" not in manifest
         manifest["verify"] = "scalar"
         (shard_dir / "manifest.json").write_text(json.dumps(manifest))
         top_path = saved / "manifest.json"
         top = json.loads(top_path.read_text())
+        assert "verify" not in top
         from repro.core.persistence import _shard_digest
 
         top["shards"][2]["digest"] = _shard_digest(shard_dir)
+        top["verify"] = "Columnar"
         top_path.write_text(json.dumps(top))
-        with pytest.raises(PersistenceError, match="verify"):
-            repro.load(saved)
+        answer = repro.load(saved).knn(["1", "2", "3"], k=5)
+        assert (answer.matches, answer.stats) == (expected.matches, expected.stats)
 
     def test_unsupported_sharded_format_version(self, saved):
         top_path = saved / "manifest.json"

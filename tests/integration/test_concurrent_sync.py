@@ -34,6 +34,7 @@ from repro.maintenance import rebalance_index
 from repro.partitioning import MinTokenPartitioner
 from repro.serve import QueryService
 from repro.storage.columnar_file import LazyRecords
+from repro.testing import oracle as scalar_oracle
 
 READERS = 4
 EXTRA = [[f"t{i % 17}", f"t{(i * 5) % 23}", f"new{i}"] for i in range(40)]
@@ -177,10 +178,9 @@ def test_concurrent_builders_append_the_tail_once(builders, tmp_path, monkeypatc
     assert_view_matches_records(sharded.dataset)
     for tokens in EXTRA[::7] + [["t1", "t2"], ["t3", "t9", "t12"]]:
         assert sharded.knn(tokens, 5).matches == oracle.knn(tokens, 5).matches
-        assert (
-            sharded.knn(tokens, 5, verify="scalar").matches
-            == sharded.knn(tokens, 5).matches
-        )
+        with scalar_oracle.armed():
+            scalar = sharded.knn(tokens, 5).matches
+        assert scalar == sharded.knn(tokens, 5).matches
 
 
 def test_service_reads_after_a_write_at_concurrency_two():
@@ -207,7 +207,8 @@ def test_service_reads_after_a_write_at_concurrency_two():
     assert_view_matches_records(engine.dataset)
     for read, answer in zip(reads, answers):
         assert not isinstance(answer, Exception), answer
-        assert answer.matches == engine.knn(read.tokens, 5, verify="scalar").matches
+        with scalar_oracle.armed():
+            assert answer.matches == engine.knn(read.tokens, 5).matches
         assert answer.matches[0][1] == 1.0  # each probe is one of the inserted sets
 
 

@@ -3,8 +3,9 @@
 A loaded generation with pending ``delta.log`` ops must answer every
 query bit-identically to:
 
-* **verify="scalar"** — the same engine re-verifying candidates with the
-  scalar (per-record Python) path instead of the columnar kernels, and
+* **the scalar oracle** — the same engine re-verifying candidates with the
+  per-record Python walk armed by :mod:`repro.testing.oracle` instead of
+  the columnar kernels, and
 * **a from-scratch rebuild** — an engine built over a dataset that
   already contains every inserted record as base data (no delta at all),
   with the same tombstones applied.
@@ -25,6 +26,7 @@ from repro.datasets import zipf_dataset
 from repro.distributed import save_sharded
 from repro.distributed.sharded import ShardedLES3
 from repro.partitioning import MinTokenPartitioner
+from repro.testing import oracle as scalar_oracle
 
 INSERTS = [
     ["delta-eq-a", "delta-eq-b"],
@@ -79,11 +81,13 @@ def assert_matches_oracles(engine, oracle, queries):
         for k in (1, 4, 9):
             got = engine.knn(query, k).matches
             assert got == oracle.knn(query, k).matches
-            assert got == engine.knn(query, k, verify="scalar").matches
+            with scalar_oracle.armed():
+                assert got == engine.knn(query, k).matches
         for threshold in (0.0, 0.35, 0.8):
             got = engine.range(query, threshold).matches
             assert got == oracle.range(query, threshold).matches
-            assert got == engine.range(query, threshold, verify="scalar").matches
+            with scalar_oracle.armed():
+                assert got == engine.range(query, threshold).matches
 
 
 class TestSingleEngineDeltaOracle:

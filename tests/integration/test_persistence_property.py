@@ -64,7 +64,6 @@ class RoundTripModel(RuleBasedStateMachine):
             save_engine(engine, Path(tmp) / "index")
             loaded = repro.load(Path(tmp) / "index")
             assert loaded.removed == engine.removed
-            assert loaded.verify == engine.verify
             assert len(loaded.dataset) == len(engine.dataset)
             for query in queries:
                 assert loaded.range(query, threshold).matches == \
@@ -125,7 +124,6 @@ class TextVsBinaryModel(RuleBasedStateMachine):
             from_text = repro.load(Path(tmp) / "index", mode="memory")
             from_binary = repro.load(Path(tmp) / "index", mode="mmap")
             assert from_binary.removed == from_text.removed
-            assert from_binary.verify == from_text.verify
             for query in queries:
                 assert from_text.knn(query, k).matches == \
                     from_binary.knn(query, k).matches

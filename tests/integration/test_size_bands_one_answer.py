@@ -1,7 +1,8 @@
 """One answer everywhere on a size-banded index, before and after writes.
 
 Over a corpus whose set sizes fall into several bands, every way of asking
-— ``execute`` per request, ``execute_batch``, ``verify="scalar"`` — on a
+— ``execute`` per request, ``execute_batch``, ``execute`` under the scalar
+oracle (:mod:`repro.testing.oracle`) — on a
 single engine and on a 4-shard ``ShardedLES3`` saved and loaded with
 ``mode="memory"`` and ``mode="mmap"`` must return the same matches, for
 kNN, range and join.  Within one engine the ``QueryStats`` of every path
@@ -23,6 +24,7 @@ from repro.datasets import zipf_dataset
 from repro.distributed import ShardedLES3, save_sharded
 from repro.partitioning import MinTokenPartitioner
 from repro.partitioning.base import size_band_cuts
+from repro.testing import oracle as scalar_oracle
 
 NUM_GROUPS = 24
 LOADS = ("memory", "mmap")
@@ -49,15 +51,15 @@ def engines(token_lists, tmp_path):
     return {"single": single, **loaded}
 
 
-def requests(token_lists, verify=None):
+def requests(token_lists):
     probes = [token_lists[i] for i in (0, 3, 17, 42, 99, 180)]
     probes += [tokens[:-1] + ["unseen"] for tokens in probes[:3]]
     probes += [["t0"], ["ghost"], [f"t{t}" for t in range(0, 60, 2)]]
     built = []
     for tokens in probes:
-        built += [QueryRequest.knn(tokens, k, verify=verify) for k in (1, 7)]
-        built += [QueryRequest.range(tokens, threshold, verify=verify) for threshold in (0.3, 0.6)]
-    built += [QueryRequest.join(threshold, verify=verify) for threshold in (0.5, 0.8)]
+        built += [QueryRequest.knn(tokens, k) for k in (1, 7)]
+        built += [QueryRequest.range(tokens, threshold) for threshold in (0.3, 0.6)]
+    built += [QueryRequest.join(threshold) for threshold in (0.5, 0.8)]
     return built
 
 
@@ -65,7 +67,8 @@ def answers(engine, token_lists):
     """Every path's answers on one engine; asserts they agree; returns ``execute``'s."""
     direct = [execute(engine, request) for request in requests(token_lists)]
     batched = execute_batch(engine, requests(token_lists))
-    scalar = [execute(engine, request) for request in requests(token_lists, "scalar")]
+    with scalar_oracle.armed():
+        scalar = [execute(engine, request) for request in requests(token_lists)]
     for one, batch, oracle in zip(direct, batched, scalar):
         assert one.matches == batch.matches == oracle.matches
         assert one.stats == batch.stats

@@ -344,6 +344,16 @@ def test_protocol_errors(single_dir):
                 {"tokens": ["a"], "k": 1, "parallel": "thread"},
             )
             assert status == 400 and "unknown field(s) ['parallel']" in body["error"]
+            # So is ``verify``, on every query route: one verification path.
+            for path, payload in (
+                ("/knn", {"tokens": ["a"], "k": 1}),
+                ("/range", {"tokens": ["a"], "threshold": 0.5}),
+                ("/join", {"threshold": 0.9}),
+            ):
+                status, body = await request_json(
+                    host, port, "POST", path, {**payload, "verify": "scalar"}
+                )
+                assert status == 400 and "unknown field(s) ['verify']" in body["error"]
             # A token dataset.txt could not carry is refused, not half-applied.
             status, body = await request_json(
                 host, port, "POST", "/insert", {"tokens": ["a b", "zz"]}
@@ -376,6 +386,50 @@ def test_protocol_errors(single_dir):
             raw = await reader.readline()
             assert b"413" in raw
             writer.close()
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("path", ["/knn", "/insert"])
+@pytest.mark.parametrize(
+    "body",
+    [b'{"tokens": ["\xff"], "k": 1}', b"[" * 50_000],
+    ids=["not-utf8", "nested-50k-deep"],
+)
+def test_undecodable_bodies_answer_400(single_dir, dataset, path, body):
+    """Bodies json.loads rejects with other than JSONDecodeError still get a 400.
+
+    Invalid UTF-8 raises ``UnicodeDecodeError`` and deep nesting
+    ``RecursionError``; either one used to kill the connection without
+    a response.
+    """
+
+    async def main():
+        server = await _ready_server(single_dir)
+        try:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(
+                f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+            await writer.drain()
+            status_line = await reader.readline()
+            assert b" 400 " in status_line
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = next(
+                int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length")
+            )
+            error = json.loads(await reader.readexactly(length))["error"]
+            assert "not valid JSON" in error
+            writer.close()
+            status, answer = await request_json(
+                server.host, server.port, "POST", "/knn",
+                {"tokens": _query(dataset, 0), "k": 2},
+            )
+            assert status == 200 and answer["count"] == 2
         finally:
             await server.stop()
 

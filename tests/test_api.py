@@ -89,26 +89,29 @@ def test_load_lazy_on_single_engine_is_a_persistence_error(single_dir):
         repro.load(single_dir, mode="lazy")
 
 
-def test_parallel_is_a_removed_parameter(single_dir, sharded_dir, engine, sharded):
-    """One execution path: no loader, engine method or request takes ``parallel=``."""
+@pytest.mark.parametrize("name, value", [("parallel", "thread"), ("verify", "scalar")])
+def test_removed_parameters_are_rejected(single_dir, sharded_dir, engine, sharded, name, value):
+    """One execution path and one verification path: no loader, engine
+    method or request takes ``parallel=`` or ``verify=``."""
     for directory in (single_dir, sharded_dir):
-        with pytest.raises(TypeError, match="parallel"):
-            repro.load(directory, parallel="thread")
+        with pytest.raises(TypeError, match=name):
+            repro.load(directory, **{name: value})
     query = _tokens(engine.dataset, 0)
     for loaded in (engine, sharded):
-        with pytest.raises(TypeError, match="parallel"):
-            loaded.knn(query, 3, parallel="thread")
-    with pytest.raises(TypeError, match="parallel"):
-        QueryRequest.range(["a"], threshold=0.5, parallel="serial")
-    with pytest.raises(ValueError, match=r"unknown field\(s\) \['parallel'\]"):
-        QueryRequest.from_payload("knn", {"tokens": ["a"], "k": 3, "parallel": "thread"})
-
-
-def test_load_verify_override(single_dir, sharded_dir):
-    assert repro.load(single_dir, verify="scalar").verify == "scalar"
-    assert repro.load(sharded_dir, verify="scalar").verify == "scalar"
-    with pytest.raises(ValueError, match="verify"):
-        repro.load(single_dir, verify="quantum")
+        assert not hasattr(loaded, name)
+        with pytest.raises(TypeError, match=name):
+            loaded.knn(query, 3, **{name: value})
+        with pytest.raises(TypeError, match=name):
+            loaded.join(0.5, **{name: value})
+    with pytest.raises(TypeError, match=name):
+        QueryRequest.range(["a"], threshold=0.5, **{name: value})
+    for kind, payload in (
+        ("knn", {"tokens": ["a"], "k": 3}),
+        ("range", {"tokens": ["a"], "threshold": 0.5}),
+        ("join", {"threshold": 0.5}),
+    ):
+        with pytest.raises(ValueError, match=rf"unknown field\(s\) \['{name}'\]"):
+            QueryRequest.from_payload(kind, {**payload, name: value})
 
 
 def test_load_missing_directory(tmp_path):
@@ -176,9 +179,10 @@ def test_join_request_validates_eagerly():
     assert QueryRequest.join(threshold=1).tokens is None
 
 
-def test_request_mode_validation():
-    with pytest.raises(ValueError, match="verify"):
-        QueryRequest.knn(["a"], k=1, verify="quantum")
+def test_request_timeout_validation():
+    for bad in (0, -5, 1.5, True, "100"):
+        with pytest.raises(ValueError, match="timeout_ms"):
+            QueryRequest.knn(["a"], k=1, timeout_ms=bad)
 
 
 def test_requests_are_frozen():
@@ -191,9 +195,9 @@ def test_from_payload_round_trip():
     request = QueryRequest.from_payload("knn", {"tokens": ["a", "b"], "k": 5})
     assert request == QueryRequest.knn(["a", "b"], k=5)
     request = QueryRequest.from_payload(
-        "range", {"tokens": ["a"], "threshold": 0.5, "verify": "scalar"}
+        "range", {"tokens": ["a"], "threshold": 0.5, "timeout_ms": 250}
     )
-    assert request.verify == "scalar"
+    assert request == QueryRequest.range(["a"], threshold=0.5, timeout_ms=250)
     assert QueryRequest.from_payload("join", {"threshold": 0.8}).kind == "join"
 
 
@@ -256,7 +260,7 @@ def test_execute_batch_is_bit_identical_to_execute(engine_fixture, request):
         requests.append(QueryRequest.knn(tokens + ["unseen"], k=3))
         requests.append(QueryRequest.range(tokens + ["unseen"], threshold=0.3))
     requests.append(QueryRequest.join(threshold=0.9))
-    requests.append(QueryRequest.knn(_tokens(dataset, 1), k=3, verify="scalar"))
+    requests.append(QueryRequest.knn(_tokens(dataset, 1), k=3, timeout_ms=60_000))
     batched = execute_batch(target, requests)
     assert len(batched) == len(requests)
     for req, got in zip(requests, batched):
@@ -310,7 +314,6 @@ def test_query_signatures_are_identical_across_engines(name):
 def test_query_methods_take_exactly_the_shared_options(name):
     for cls in (LES3, ShardedLES3):
         parameters = inspect.signature(getattr(cls, name)).parameters
-        assert list(parameters)[-2:] == ["verify", "deadline"], (
-            f"{cls.__name__}.{name} options diverge"
-        )
-        assert all(parameters[option].default is None for option in list(parameters)[-2:])
+        assert list(parameters)[-1] == "deadline", f"{cls.__name__}.{name} options diverge"
+        assert parameters["deadline"].default is None
+        assert "verify" not in parameters

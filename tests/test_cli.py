@@ -83,11 +83,6 @@ class TestJoin:
         assert "pairs" in captured.err
         assert "pruned" in captured.err
 
-    def test_join_verify_both_reports_speedup(self, index_dir, capsys):
-        code = main(["join", str(index_dir), "--threshold", "0.8", "--verify", "both"])
-        assert code == 0
-        assert "speedup" in capsys.readouterr().err
-
     def test_join_sharded_identical_output(self, index_dir, capsys):
         args = ["join", str(index_dir), "--threshold", "0.5", "--limit", "1000000"]
         assert main(args) == 0
@@ -237,15 +232,19 @@ class TestShardedLifecycle:
         assert main(["load", str(index_dir)]) == 0
         assert "single-engine index" in capsys.readouterr().out
 
-    def test_load_reports_saved_verify_mode(self, tmp_path, index_dir, capsys):
-        """The summary shows the persisted verify mode, not the CLI default."""
-        from repro.core import save_engine
+    def test_load_ignores_a_saved_verify_field(self, tmp_path, index_dir, capsys):
+        """Older saves carry 'verify' (any value); the summary neither needs nor shows it."""
+        import json
+        import shutil
 
-        engine = repro.load(index_dir)
-        engine.verify = "scalar"
-        save_engine(engine, tmp_path / "scalar-index")
-        assert main(["load", str(tmp_path / "scalar-index")]) == 0
-        assert "verify 'scalar'" in capsys.readouterr().out
+        legacy = tmp_path / "legacy"
+        shutil.copytree(index_dir, legacy)
+        manifest = json.loads((legacy / "manifest.json").read_text())
+        manifest["verify"] = "Columnar"
+        (legacy / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        assert main(["load", str(legacy)]) == 0
+        out = capsys.readouterr().out
+        assert "single-engine index" in out and "verify" not in out
 
     def test_sharded_queries_identical_to_single(self, index_dir, sharded_dir,
                                                  data_file, capsys):
@@ -296,6 +295,7 @@ class TestShardedLifecycle:
                      "--shards", "4"]) == 1
         assert "already" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--parallel", "process"), ("--verify", "scalar")])
     @pytest.mark.parametrize(
         "command",
         [
@@ -307,11 +307,11 @@ class TestShardedLifecycle:
         ],
         ids=lambda command: command[0],
     )
-    def test_parallel_flag_is_gone(self, index_dir, command, capsys):
+    def test_removed_flags_are_usage_errors(self, index_dir, command, flag, value, capsys):
         with pytest.raises(SystemExit) as usage:
-            main([command[0], str(index_dir), *command[1:], "--parallel", "process"])
+            main([command[0], str(index_dir), *command[1:], flag, value])
         assert usage.value.code == 2
-        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestParser:
@@ -434,12 +434,11 @@ class TestV1Compatibility:
         (legacy / "manifest.json").write_text(json.dumps(manifest, indent=2))
         return legacy
 
-    def test_load_reports_default_verify_not_a_crash(self, v1_dir, capsys):
-        """Regression: `repro load` on a v1 dir reports verify '<default>'."""
+    def test_load_summarizes_a_v1_dir(self, v1_dir, capsys):
+        """Regression: `repro load` on a v1 dir summarizes it, no crash."""
         assert main(["load", str(v1_dir)]) == 0
         out = capsys.readouterr().out
-        assert "single-engine index" in out
-        assert "verify 'columnar'" in out and "0 tombstone(s)" in out
+        assert "single-engine index" in out and "0 tombstone(s)" in out
 
     def test_v1_queries_and_validate_still_work(self, v1_dir, data_file, capsys):
         query = data_file.read_text().splitlines()[0]
