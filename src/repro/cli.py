@@ -148,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission bound: in-flight requests beyond it get 503 + Retry-After",
     )
     serve_cmd.add_argument(
-        "--concurrency", type=int, default=1,
-        help="batches allowed in flight simultaneously (one engine thread each)",
-    )
-    serve_cmd.add_argument(
         "--default-timeout-ms", type=int, default=None,
         help="deadline for requests without their own timeout_ms (504 on expiry)",
     )
@@ -595,7 +591,6 @@ def _cmd_serve(args) -> int:
     for flag, value in (
         ("--max-batch", args.max_batch),
         ("--max-queue", args.max_queue),
-        ("--concurrency", args.concurrency),
     ):
         if value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
@@ -621,7 +616,6 @@ def _cmd_serve(args) -> int:
             mode=args.mode,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
-            concurrency=args.concurrency,
             default_timeout_ms=args.default_timeout_ms,
             max_timeout_ms=args.max_timeout_ms,
             drain_seconds=args.drain_seconds,

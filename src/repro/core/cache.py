@@ -4,9 +4,9 @@ Two places keep "build on first use, keep the last N resident" state:
 lazily built shard TGMs (:class:`repro.distributed.sharded.LazyShardTGMs`)
 and lazily materialized records of a mapped dataset
 (:class:`repro.storage.columnar_file.LazyRecords`).  They share this one
-implementation so the locking discipline lives in a single place — a
-query service with ``concurrency > 1`` hands the same engine (and
-therefore the same caches) to concurrent batches.
+implementation so the locking discipline lives in a single place — the
+``workers=`` shard-build pool, and library callers that query one
+engine from threads of their own, reach the same caches at once.
 
 Values must be safe to build redundantly: a build runs *outside* the
 lock (it may take seconds for a big shard), so two threads racing on the

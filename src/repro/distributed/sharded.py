@@ -103,9 +103,8 @@ class LazyShardTGMs(SequenceABC):
     build, and resident index memory is bounded by the capacity rather
     than the shard count — which is what ``repro.load(..., mode="lazy")``
     hands to :class:`ShardedLES3`.  The cache is a thread-safe
-    :class:`~repro.core.cache.LRUCache` because a
-    :class:`~repro.serve.service.QueryService` with ``concurrency > 1``
-    reads one engine from several threads (two batches racing on one
+    :class:`~repro.core.cache.LRUCache` because library callers may
+    read one engine from several threads (two readers racing on one
     shard may both build it; the first publish wins — TGM builds are
     deterministic and immutable afterwards, so that is only spent time).
 

@@ -7,7 +7,7 @@ and micro-batched into the engine's batched BLAS kernels:
 
 * :class:`QueryService` (:mod:`repro.serve.service`) — admission bound
   (503 + ``Retry-After`` beyond ``max_queue``), the timer-free
-  micro-batcher (up to ``max_batch``), its engine threads, and the
+  micro-batcher (up to ``max_batch``), its one engine thread, and the
   stats the ``/stats`` endpoint reports.
 * :class:`ReproServer` (:mod:`repro.serve.http`) — the dependency-free
   asyncio HTTP/1.1 front: ``POST /knn``, ``POST /range``, ``POST /join``,

@@ -18,7 +18,7 @@ GET      /stats     uptime, shards, served counts, batch histogram,
 =======  =========  ====================================================
 
 Writes are admitted while serving: they ride the same micro-batch queue
-as queries (applied first within their batch, engine held exclusively)
+as queries (applied first within their batch, in admission order)
 and land in the loaded generation's write-ahead ``delta.log`` when the
 index came from a save — so they survive a restart.  A write against a
 lazily loaded (read-only) index answers 400.
@@ -138,7 +138,6 @@ class ReproServer:
         mode: str = "memory",
         max_batch: int = 64,
         max_queue: int = 256,
-        concurrency: int = 1,
         default_timeout_ms: int | None = None,
         max_timeout_ms: int | None = None,
         drain_seconds: float = 5.0,
@@ -152,7 +151,6 @@ class ReproServer:
         self._service_options = {
             "max_batch": max_batch,
             "max_queue": max_queue,
-            "concurrency": concurrency,
             "default_timeout_ms": default_timeout_ms,
             "max_timeout_ms": max_timeout_ms,
         }
@@ -220,13 +218,11 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        service = self.service
-        if service is not None:
-            deadline = time.monotonic() + max(budget, 0.0)
-            while time.monotonic() < deadline:
-                if service.queue_depth == 0 and not service._batch_tasks:
-                    break
-                await asyncio.sleep(0.01)
+        if self.service is not None:
+            try:
+                await asyncio.wait_for(self.service.wait_idle(), max(budget, 0.0))
+            except asyncio.TimeoutError:
+                pass
         await self.stop()
 
     async def stop(self) -> None:
@@ -238,6 +234,10 @@ class ReproServer:
                 pass
         if self.service is not None:
             await self.service.stop()
+            # The requests stop() just failed still owe their clients a
+            # 503: one turn of the loop lets their handlers write it
+            # before the connections are cancelled below.
+            await asyncio.sleep(0)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

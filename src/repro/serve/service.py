@@ -9,17 +9,19 @@ trip through the engine; they flow through a :class:`QueryService`:
    :meth:`QueryService.submit` raises :class:`ServiceOverloaded` and the
    HTTP layer answers ``503`` with a ``Retry-After`` hint — the service
    degrades by shedding load, never by growing an unbounded backlog.
-2. **Micro-batching.**  Once the engine has room for another batch, the
+2. **Micro-batching.**  Once the previous batch has finished, the
    dispatcher takes the next request and everything queued behind it
    (up to ``max_batch``) and dispatches at once — no timer.  A lone
    request on an idle service runs immediately; under load, batches
    form from the requests that arrived while the engine was busy.  The
    batch is handed to :func:`repro.api.execute_batch`, which coalesces
    compatible kNN/range requests into the engine's batched BLAS kernels.
-3. **Execution.**  Engine work is CPU-bound, so batches run on the
-   service's own ``concurrency`` long-lived threads (default 1 — numpy
-   releases the GIL inside BLAS); few fixed threads mean few glibc
-   malloc arenas, so the resident set stays flat.
+3. **Execution.**  Engine work is CPU-bound, so batches run one at a
+   time, in admission order, on the service's one long-lived engine
+   thread (numpy releases the GIL inside BLAS, so the event loop keeps
+   admitting meanwhile).  No two batches ever overlap, so reads and
+   writes are linearizable by construction; one fixed thread also means
+   one glibc malloc arena, so the resident set stays flat.
 4. **Accounting.**  Every answered request feeds the service stats:
    queries served per kind, a batch-size histogram, and a latency
    reservoir from which ``/stats`` reports p50/p99.
@@ -32,13 +34,11 @@ server integration tests assert this request-for-request).
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import TracebackType
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.api import (
     Engine,
@@ -153,54 +153,6 @@ class ServiceStats:
         }
 
 
-class _EngineGate:
-    """A reader-writer gate over one engine for ``concurrency > 1``.
-
-    Query batches hold the gate *shared* (they only read engine state, so
-    any number may run at once); write batches hold it *exclusive* (an
-    insert grows the dataset and a group's membership mid-scan would be a
-    torn read).  Writers are preferred: once one is waiting, new readers
-    queue behind it, so a write cannot starve under a steady query load.
-    With the default ``concurrency=1`` the dispatcher never overlaps
-    batches and the gate is uncontended.
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    @contextlib.contextmanager
-    def shared(self) -> Iterator[None]:
-        with self._condition:
-            while self._writer_active or self._writers_waiting:
-                self._condition.wait()
-            self._readers += 1
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._condition.notify_all()
-
-    @contextlib.contextmanager
-    def exclusive(self) -> Iterator[None]:
-        with self._condition:
-            self._writers_waiting += 1
-            while self._writer_active or self._readers:
-                self._condition.wait()
-            self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._writer_active = False
-                self._condition.notify_all()
-
-
 class _Pending:
     """One admitted request awaiting its answer."""
 
@@ -233,8 +185,6 @@ class QueryService:
     max_queue : int, default 256
         Admission bound: maximum admitted-but-unanswered requests.
         Beyond it :meth:`submit` raises :class:`ServiceOverloaded`.
-    concurrency : int, default 1
-        Batches in flight at once, each on its own engine thread.
     default_timeout_ms : int, optional
         Deadline applied to requests that do not carry their own
         ``timeout_ms``.  None (the default) means no implicit deadline.
@@ -256,7 +206,6 @@ class QueryService:
         engine: Engine | None = None,
         max_batch: int = 64,
         max_queue: int = 256,
-        concurrency: int = 1,
         default_timeout_ms: int | None = None,
         max_timeout_ms: int | None = None,
     ) -> None:
@@ -264,8 +213,6 @@ class QueryService:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be positive, got {concurrency}")
         for name, value in (
             ("default_timeout_ms", default_timeout_ms),
             ("max_timeout_ms", max_timeout_ms),
@@ -275,19 +222,18 @@ class QueryService:
         self.engine = engine
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.concurrency = concurrency
         self.default_timeout_ms = default_timeout_ms
         self.max_timeout_ms = max_timeout_ms
         self.stats = ServiceStats()
-        self._gate = _EngineGate()
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
         self._in_flight = 0
         self._dispatcher: asyncio.Task | None = None
-        self._batch_slots = asyncio.Semaphore(concurrency)
-        self._batch_tasks: set[asyncio.Task] = set()
-        # Threads start on first use, so constructing a service is free.
+        self._running: list[_Pending] = []  # the batch on the engine thread
+        self._idle = asyncio.Event()  # nothing queued, no batch running
+        self._idle.set()
+        # The thread starts on first use, so constructing a service is free.
         self._executor = ThreadPoolExecutor(
-            max_workers=concurrency, thread_name_prefix="repro-engine"
+            max_workers=1, thread_name_prefix="repro-engine"
         )
         self._closed = False
 
@@ -314,7 +260,14 @@ class QueryService:
         return self
 
     async def stop(self) -> None:
-        """Drain nothing, cancel the dispatcher, fail unanswered requests."""
+        """Drain nothing, cancel the dispatcher, fail unanswered requests.
+
+        Every admitted request still waiting for its answer — queued, or
+        in the batch on the engine thread — fails with
+        :class:`ConnectionError` (the HTTP layer answers ``503``).  A
+        batch already running finishes on the engine thread; nothing
+        waits for it, and its answers are discarded.
+        """
         self._closed = True
         if self._dispatcher is not None:
             self._dispatcher.cancel()
@@ -323,16 +276,17 @@ class QueryService:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        for task in list(self._batch_tasks):
-            task.cancel()
-        # A batch already on an engine thread finishes there; nothing waits for it.
         self._executor.shutdown(wait=False, cancel_futures=True)
+        unanswered = self._running
         while not self._queue.empty():
-            pending = self._queue.get_nowait()
+            unanswered.append(self._queue.get_nowait())
+        for pending in unanswered:
             if not pending.future.done():
                 pending.future.set_exception(
                     ConnectionError("query service is shutting down")
                 )
+        self._running = []
+        self._idle.set()
 
     async def __aenter__(self) -> "QueryService":
         return await self.start()
@@ -350,6 +304,10 @@ class QueryService:
     def queue_depth(self) -> int:
         """Admitted-but-unanswered requests right now."""
         return self._in_flight
+
+    async def wait_idle(self) -> None:
+        """Return once nothing is queued and no batch is running."""
+        await self._idle.wait()
 
     # -- admission ---------------------------------------------------------
 
@@ -385,8 +343,8 @@ class QueryService:
 
         Writes (:class:`~repro.api.WriteRequest`) share the admission
         queue and the micro-batches with queries; within a batch all
-        writes are applied first (engine held exclusively), in admission
-        order, so queries batched behind a write observe it.
+        writes are applied first, in admission order, so queries batched
+        behind a write observe it.
 
         Raises
         ------
@@ -413,6 +371,7 @@ class QueryService:
             pending.timer = loop.call_later(
                 timeout_ms / 1000.0, self._expire, pending, timeout_ms
             )
+        self._idle.clear()
         self._queue.put_nowait(pending)
         try:
             return await pending.future
@@ -424,22 +383,23 @@ class QueryService:
     # -- batching ----------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        """Dispatch whatever is queued as soon as the engine has room.
+        """Run whatever is queued, one batch at a time, in admission order.
 
-        The slot is taken *before* the requests, so whatever arrives while
-        every slot is busy leaves together in the next batch: the engine's
-        busy time is the only batching window, and an idle service
-        dispatches a lone request at once.
+        Each batch is awaited before the next is taken, so whatever
+        arrives while the engine is busy leaves together in the next
+        batch: the engine's busy time is the only batching window, and
+        an idle service dispatches a lone request at once.
         """
-        loop = asyncio.get_running_loop()
         while True:
-            await self._batch_slots.acquire()
+            if self._queue.empty():
+                self._idle.set()
             batch = [await self._queue.get()]
             while len(batch) < self.max_batch and not self._queue.empty():
                 batch.append(self._queue.get_nowait())
-            task = loop.create_task(self._run_batch(batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            # Left set if stop() cancels the batch: stop() fails its members.
+            self._running = batch
+            await self._run_batch(batch)
+            self._running = []
 
     @staticmethod
     def _batch_deadline(batch: list[_Pending]) -> Deadline | None:
@@ -455,87 +415,78 @@ class QueryService:
             return None
         return max(deadlines, key=lambda deadline: deadline.expires_at)
 
-    def _apply_writes(self, engine: Engine, requests: list[WriteRequest]) -> list:
-        """Apply admitted writes in arrival order, engine held exclusively.
+    @staticmethod
+    def _apply_writes(engine: Engine, requests: list[WriteRequest]) -> list:
+        """Apply admitted writes in arrival order.
 
         Failures are captured per write (a bad remove must not fail the
         insert admitted after it), so the returned list holds a
         :class:`~repro.api.WriteResult` or the exception, positionally.
         """
         outcomes: list[WriteResult | Exception] = []
-        with self._gate.exclusive():
-            for request in requests:
-                try:
-                    outcomes.append(apply_write(engine, request))
-                except Exception as error:  # noqa: BLE001 - forwarded per request
-                    outcomes.append(error)
+        for request in requests:
+            try:
+                outcomes.append(apply_write(engine, request))
+            except Exception as error:  # noqa: BLE001 - forwarded per request
+                outcomes.append(error)
         return outcomes
 
-    def _execute_queries(
-        self, engine: Engine, requests: list[QueryRequest], deadline: Deadline | None
-    ) -> list[QueryResult]:
-        with self._gate.shared():
-            return execute_batch(engine, requests, deadline)
-
     async def _run_batch(self, batch: list[_Pending]) -> None:
-        try:
-            self.stats.record_batch(len(batch))
-            loop, engine = asyncio.get_running_loop(), self.engine
-            assert engine is not None  # start() refuses to run without one
-            # Writes first, in admission order: queries admitted into the
-            # same batch observe every write that was admitted before them.
-            writes = [p for p in batch if isinstance(p.request, WriteRequest)]
-            reads = [p for p in batch if not isinstance(p.request, WriteRequest)]
-            if writes:
-                outcomes = await loop.run_in_executor(
-                    self._executor, self._apply_writes, engine, [p.request for p in writes]
-                )
-                finished = time.perf_counter()
-                for pending, outcome in zip(writes, outcomes):
-                    if pending.future.done():
-                        # The client's deadline expired while the write
-                        # waited its turn — but the op *was* applied (a 504
-                        # on a write means unconfirmed, not undone).
-                        self.stats.late_results += 1
-                        continue
-                    if isinstance(outcome, Exception):
-                        self.stats.queries_failed += 1
-                        pending.future.set_exception(outcome)
-                    else:
-                        self.stats.record_served(
-                            pending.request.kind, finished - pending.admitted_at
-                        )
-                        pending.future.set_result(outcome)
-            if not reads:
-                return
-            requests = [pending.request for pending in reads]
-            deadline = self._batch_deadline(reads)
-            try:
-                results = await loop.run_in_executor(
-                    self._executor, self._execute_queries, engine, requests, deadline
-                )
-            except Exception as error:  # noqa: BLE001 - forwarded per request
-                timed_out = isinstance(error, DeadlineExceeded)
-                for pending in reads:
-                    if pending.future.done():
-                        continue
-                    if timed_out:
-                        self.stats.record_timeout(pending.request.kind)
-                    else:
-                        self.stats.queries_failed += 1
-                    pending.future.set_exception(error)
-                return
+        self.stats.record_batch(len(batch))
+        loop, engine = asyncio.get_running_loop(), self.engine
+        assert engine is not None  # start() refuses to run without one
+        # Writes first, in admission order: queries admitted into the
+        # same batch observe every write that was admitted before them.
+        writes = [p for p in batch if isinstance(p.request, WriteRequest)]
+        reads = [p for p in batch if not isinstance(p.request, WriteRequest)]
+        if writes:
+            outcomes = await loop.run_in_executor(
+                self._executor, self._apply_writes, engine, [p.request for p in writes]
+            )
             finished = time.perf_counter()
-            for pending, result in zip(reads, results):
+            for pending, outcome in zip(writes, outcomes):
                 if pending.future.done():
-                    # Timed out (or shed) while we were computing: the
-                    # answer is wasted work, not a served request — keep
-                    # it out of the latency reservoir.
+                    # The client's deadline expired while the write
+                    # waited its turn — but the op *was* applied (a 504
+                    # on a write means unconfirmed, not undone).
                     self.stats.late_results += 1
                     continue
-                self.stats.record_served(
-                    pending.request.kind, finished - pending.admitted_at
-                )
-                pending.future.set_result(result)
-        finally:
-            self._batch_slots.release()
+                if isinstance(outcome, Exception):
+                    self.stats.queries_failed += 1
+                    pending.future.set_exception(outcome)
+                else:
+                    self.stats.record_served(
+                        pending.request.kind, finished - pending.admitted_at
+                    )
+                    pending.future.set_result(outcome)
+        if not reads:
+            return
+        requests = [pending.request for pending in reads]
+        deadline = self._batch_deadline(reads)
+        try:
+            results = await loop.run_in_executor(
+                self._executor, execute_batch, engine, requests, deadline
+            )
+        except Exception as error:  # noqa: BLE001 - forwarded per request
+            timed_out = isinstance(error, DeadlineExceeded)
+            for pending in reads:
+                if pending.future.done():
+                    continue
+                if timed_out:
+                    self.stats.record_timeout(pending.request.kind)
+                else:
+                    self.stats.queries_failed += 1
+                pending.future.set_exception(error)
+            return
+        finished = time.perf_counter()
+        for pending, result in zip(reads, results):
+            if pending.future.done():
+                # Timed out (or shed) while we were computing: the
+                # answer is wasted work, not a served request — keep
+                # it out of the latency reservoir.
+                self.stats.late_results += 1
+                continue
+            self.stats.record_served(
+                pending.request.kind, finished - pending.admitted_at
+            )
+            pending.future.set_result(result)

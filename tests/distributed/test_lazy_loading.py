@@ -123,8 +123,8 @@ class TestLaziness:
         assert memory.join(0.5).pairs == loaded.join(0.5).pairs
 
     def test_concurrent_readers_under_heavy_eviction(self, saved):
-        """lazy with capacity 1, read from four threads at once (what a
-        ``QueryService(concurrency=4)`` does): the readers hammer the
+        """lazy with capacity 1, read from four threads at once (a library
+        caller sharing one engine across threads): the readers hammer the
         shared LRU (build/evict/build) and must stay exact and crash-free."""
         from repro.core.engine import as_query_record
 

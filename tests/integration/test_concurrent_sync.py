@@ -2,12 +2,12 @@
 
 A dataset's CSR view is shared by every index over it and caught up
 lazily: whoever reads it first after an insert appends the new rows.
-Several readers can arrive at once — the query batches of a
-``QueryService(concurrency > 1)`` after a write batch, or the pool-thread
-shard builds of ``ShardedLES3.from_engine``/``build``/``repro.load`` over
-a dataset that grew since its view was built — and before PR 13 each of
-them appended the same tail, leaving ``nnz``/offsets out of step with the
-records (spine defect D1; PR 12 only pre-synced one call site).
+Several readers can arrive at once — the pool-thread shard builds of
+``ShardedLES3.from_engine``/``build``/``repro.load`` over a dataset that
+grew since its view was built, or library callers querying one engine
+from several threads — and before PR 13 each of them appended the same
+tail, leaving ``nnz``/offsets out of step with the records (spine defect
+D1; PR 12 only pre-synced one call site).
 
 The tests are deterministic, not timing-dependent: the tail read
 ``records[n:]`` sits inside ``sync()``'s window — after the "anything to
@@ -19,20 +19,17 @@ times out, and one append is recorded.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 
 import numpy as np
 import pytest
 
 import repro
-from repro import Dataset, LES3, QueryRequest
-from repro.api import WriteRequest
+from repro import Dataset, LES3
 from repro.core.columnar import ColumnarView
 from repro.distributed import ShardedLES3, save_sharded
 from repro.maintenance import rebalance_index
 from repro.partitioning import MinTokenPartitioner
-from repro.serve import QueryService
 from repro.storage.columnar_file import LazyRecords
 from repro.testing import oracle as scalar_oracle
 
@@ -181,35 +178,6 @@ def test_concurrent_builders_append_the_tail_once(builders, tmp_path, monkeypatc
         with scalar_oracle.armed():
             scalar = sharded.knn(tokens, 5).matches
         assert scalar == sharded.knn(tokens, 5).matches
-
-
-def test_service_reads_after_a_write_at_concurrency_two():
-    engine = LES3.build(
-        Dataset.from_token_lists(token_lists()), num_groups=8,
-        partitioner=MinTokenPartitioner(),
-    )
-    engine.knn(["t1", "t2"], 3)  # the view exists before the writes
-    gate = gate_in_memory(engine.dataset)
-    reads = [QueryRequest.knn(tokens, k=5) for tokens in EXTRA[:8]]
-
-    async def write_then_read() -> list:
-        # The eight reads queue together, so they leave as two batches of
-        # four that run at once on the two engine threads.
-        async with QueryService(engine, concurrency=2, max_batch=4) as service:
-            for tokens in EXTRA:
-                await service.submit(WriteRequest.insert(tokens))
-            return await asyncio.gather(
-                *(service.submit(read) for read in reads), return_exceptions=True
-            )
-
-    answers = asyncio.run(write_then_read())
-    assert gate.count == 1
-    assert_view_matches_records(engine.dataset)
-    for read, answer in zip(reads, answers):
-        assert not isinstance(answer, Exception), answer
-        with scalar_oracle.armed():
-            assert answer.matches == engine.knn(read.tokens, 5).matches
-        assert answer.matches[0][1] == 1.0  # each probe is one of the inserted sets
 
 
 def test_first_readers_share_one_view():

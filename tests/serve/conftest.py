@@ -1,10 +1,10 @@
 """Helpers for the serve tests: hold the engine busy instead of waiting on a clock.
 
 The service batches only what queues while the engine is busy, so every
-batching, admission and deadline test needs a busy engine.  Holding the
-service's engine gate exclusively from a helper thread provides one
-deterministically: a batch dispatched meanwhile blocks at the gate, and
-everything admitted after it waits in the queue for the next batch.
+batching, admission and deadline test needs a busy engine.  Occupying the
+service's one engine thread with a blocking call provides one
+deterministically: a batch dispatched meanwhile waits behind that call,
+and everything admitted after it waits in the queue for the next batch.
 """
 
 from __future__ import annotations
@@ -22,22 +22,20 @@ from repro.serve import QueryService
 
 @contextlib.contextmanager
 def _held(service: QueryService) -> Iterator[None]:
-    """Hold ``service``'s engine exclusively until the block exits."""
+    """Occupy ``service``'s engine thread until the block exits."""
     holding, release = threading.Event(), threading.Event()
 
     def hold() -> None:
-        with service._gate.exclusive():
-            holding.set()
-            release.wait()
+        holding.set()
+        release.wait()
 
-    thread = threading.Thread(target=hold, daemon=True)
-    thread.start()
+    held = service._executor.submit(hold)
     holding.wait()
     try:
         yield
     finally:
         release.set()
-        thread.join()
+        held.result()
 
 
 async def _until(condition: Callable[[], bool], timeout: float = 10.0) -> None:

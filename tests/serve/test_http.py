@@ -177,11 +177,8 @@ class _ThreadRecordingEngine:
         return recorded
 
 
-@pytest.mark.parametrize("concurrency", [1, 2])
-def test_engine_work_stays_on_the_engine_threads(
-    concurrency, dataset, tmp_path, monkeypatch
-):
-    """Load, reads and writes run on the service's ``concurrency`` threads.
+def test_engine_work_stays_on_the_engine_threads(dataset, tmp_path, monkeypatch):
+    """Load, reads and writes all run on the service's one engine thread.
 
     Every thread that allocates gets its own malloc arena, so engine work
     spread over a shared, growing pool grows the server's resident set.
@@ -212,7 +209,7 @@ def test_engine_work_stays_on_the_engine_threads(
             writer.close()
 
     async def main():
-        server = await _ready_server(str(directory), concurrency=concurrency)
+        server = await _ready_server(str(directory))
         try:
             await asyncio.gather(*(lane(server, lane_id) for lane_id in range(8)))
             status, stats = await request_json(server.host, server.port, "GET", "/stats")
@@ -221,9 +218,9 @@ def test_engine_work_stays_on_the_engine_threads(
             await server.stop()
 
     asyncio.run(main())
-    assert 1 <= len(threads) <= concurrency
-    # The service's own threads, not the event loop's shared default pool.
-    assert all(thread.name.startswith("repro-engine") for thread in threads)
+    # The service's own thread, not the event loop's shared default pool.
+    assert len(threads) == 1
+    assert threads.pop().name.startswith("repro-engine")
 
 
 def test_healthz_reports_loading_then_ok(single_dir):
@@ -594,6 +591,27 @@ def test_drain_finishes_in_flight_then_stops(single_dir, dataset, engine_held, u
         assert status == 200 and body["count"] == 3  # in-flight work finished
         with pytest.raises(OSError):
             await request_json(server.host, server.port, "GET", "/healthz")
+
+    asyncio.run(main())
+
+
+def test_drain_out_of_budget_answers_503(single_dir, dataset, engine_held, until):
+    async def main():
+        server = await _ready_server(single_dir)
+        service = server.service
+        with engine_held(service):
+            task = asyncio.ensure_future(
+                request_json(
+                    server.host, server.port, "POST", "/knn",
+                    {"tokens": _query(dataset, 0), "k": 3},
+                )
+            )
+            await until(lambda: service.stats.batches_dispatched == 1)
+            # The engine stays busy past the budget: the drain gives up and
+            # the request in the running batch is answered, not dropped.
+            await server.drain(drain_seconds=0.2)
+            status, body = await asyncio.wait_for(task, 3)
+        assert status == 503 and "shutting down" in body["error"]
 
     asyncio.run(main())
 

@@ -152,16 +152,40 @@ def test_submit_after_stop_is_a_connection_error(engine):
     asyncio.run(main())
 
 
+def test_stop_fails_the_batch_on_the_engine_thread(engine, engine_held, until):
+    async def main():
+        # One request is in the batch the busy engine thread is about to
+        # run, one is queued behind it: stop() answers both, so no caller
+        # is left waiting on a batch whose answer nobody will deliver.
+        service = QueryService(engine)
+        await service.start()
+        with engine_held(service):
+            tasks = await _queue_behind_busy_engine(
+                service, until,
+                QueryRequest.knn(_query(engine, 0), k=3),
+                [QueryRequest.knn(_query(engine, 1), k=3)],
+            )
+            await service.stop()
+            for task in tasks:
+                with pytest.raises(ConnectionError, match="shutting down"):
+                    await asyncio.wait_for(task, 3)
+        assert service.queue_depth == 0
+        assert service.stats.queries_served == 0
+
+    asyncio.run(main())
+
+
 def test_constructor_validates_knobs(engine):
     for kwargs in (
         {"max_batch": 0},
         {"max_queue": 0},
-        {"concurrency": 0},
     ):
         with pytest.raises(ValueError):
             QueryService(engine, **kwargs)
-    with pytest.raises(TypeError):  # the batching window is gone, not ignored
-        QueryService(engine, batch_window_ms=2.0)
+    # The batching window and the concurrency knob are gone, not ignored.
+    for kwargs in ({"batch_window_ms": 2.0}, {"concurrency": 2}):
+        with pytest.raises(TypeError):
+            QueryService(engine, **kwargs)
 
 
 def test_start_without_an_engine_is_refused():
@@ -237,7 +261,7 @@ def test_timeout_expires_queued_request(engine, engine_held, until):
             # the engine does any work: only the blocker was served, and
             # the reservoir holds its latency alone.
             await until(lambda: service.stats.batches_dispatched == 2)
-            await until(lambda: not service._batch_tasks)
+            await asyncio.wait_for(service.wait_idle(), 10)
             assert service.stats.queries_served == 1
             assert service.stats.late_results == 0
             assert len(service.stats.latencies) == 1

@@ -295,7 +295,10 @@ class TestShardedLifecycle:
                      "--shards", "4"]) == 1
         assert "already" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--parallel", "process"), ("--verify", "scalar")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--parallel", "process"), ("--verify", "scalar"), ("--concurrency", "2")],
+    )
     @pytest.mark.parametrize(
         "command",
         [
