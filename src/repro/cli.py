@@ -428,9 +428,8 @@ def _cmd_join(args) -> int:
         if args.limit and len(result.matches) > args.limit:
             print(f"... and {len(result.matches) - args.limit} more pairs")
         print(
-            f"# {len(result.matches)} pairs; verified {result.stats.candidates_verified} "
-            f"candidates, pruned {result.stats.groups_pruned}/"
-            f"{result.stats.groups_scored} group pairs",
+            f"# {len(result.matches)} pairs; verified "
+            f"{result.stats.candidates_verified} candidate pairs",
             file=sys.stderr,
         )
         return 0

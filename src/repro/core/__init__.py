@@ -7,9 +7,8 @@ from repro.core.engine import LES3
 from repro.core.htgm import HierarchicalTGM
 from repro.core.join import (
     JoinResult,
-    best_feasible_pair_bound,
     group_join_profiles,
-    similarity_join_between,
+    prefix_filter_join,
     similarity_self_join,
 )
 from repro.core.metrics import (
@@ -47,9 +46,8 @@ __all__ = [
     "LES3",
     "HierarchicalTGM",
     "JoinResult",
-    "best_feasible_pair_bound",
     "group_join_profiles",
-    "similarity_join_between",
+    "prefix_filter_join",
     "similarity_self_join",
     "QueryStats",
     "knn_pruning_efficiency",

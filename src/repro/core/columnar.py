@@ -59,10 +59,10 @@ _MIN_CAPACITY = 1024
 # most this many int64 cells (64K cells = 512 KiB), however large the
 # record blocks are.  Small enough that a tile's temporaries are recycled
 # inside the malloc heap: at 1 MiB per buffer glibc trims the freed heap
-# top after each tile and the next tile faults it back in — ~90K page
-# faults and a fifth of the time of one self-join of the spine's
-# DBLP-like corpus, a cost that swings with the host — where 512 KiB
-# tiles fault under 1K pages per join and run fastest.
+# top after each tile and the next tile faults it back in, where 512 KiB
+# buffers stay resident.  It is also the default chunk budget of the
+# prefix-filter self-join (core/join.py), whose per-chunk candidate and
+# lookup buffers are sized by it.
 DEFAULT_TILE_CELLS = 1 << 16
 
 
@@ -269,9 +269,8 @@ class ColumnarView:
 
         ``result[i, j] = Σ_t min(count_rows[i](t), count_cols[j](t))`` —
         the exact multiset overlap of every row record with every column
-        record, as an int64 matrix of shape ``(len(rows), len(cols))``.
-        This is the self-join's verification kernel: one call scores a
-        whole group pair.
+        record, as an int64 matrix of shape ``(len(rows), len(cols))``:
+        one call scores every pair of two record blocks.
 
         Memory stays bounded by blockwise tiling: a row block is scattered
         into a dense per-row count table over only the block's *distinct*

@@ -124,8 +124,7 @@ class Similarity(ABC):
         result applies :meth:`from_overlaps` under outer broadcasting, so
         every cell goes through the measure's own vectorized formula — the
         *same* float64 operations as the scalar ``from_overlap``, making
-        the matrix bit-identical to the per-pair walk.  This is the kernel
-        entry point of the columnar self-join (:mod:`repro.core.join`).
+        the matrix bit-identical to the per-pair walk.
         """
         sizes_a = np.asarray(sizes_a, dtype=np.int64)
         sizes_b = np.asarray(sizes_b, dtype=np.int64)

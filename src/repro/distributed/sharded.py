@@ -45,14 +45,7 @@ from repro.core.cache import LRUCache
 from repro.core.columnar import make_verifier
 from repro.core.dataset import Dataset
 from repro.core.engine import LES3, as_query_record, suggest_num_groups
-from repro.core.join import (
-    JoinResult,
-    best_feasible_pair_bound,
-    group_join_profiles,
-    max_token_multiplicity,
-    similarity_join_between,
-    similarity_self_join,
-)
+from repro.core.join import JoinResult, prefix_filter_join
 from repro.core.metrics import QueryStats
 from repro.core.persistence import PersistenceError
 from repro.core.resilience import Deadline
@@ -687,89 +680,22 @@ class ShardedLES3:
         threshold: float,
         deadline: Deadline | None = None,
     ) -> JoinResult:
-        """Exact similarity self-join over all shards (scatter-gather).
+        """Exact similarity self-join over all shards.
 
-        Within-shard pairs come from each shard's own
-        :func:`~repro.core.join.similarity_self_join`; cross-shard pairs
-        from pairwise :func:`~repro.core.join.similarity_join_between`
-        calls.  A shard *pair* is skipped wholesale when its vocabulary
-        bound — ``best_feasible_pair_bound`` over ``|vocab_s ∩ vocab_t|``
-        (times the dataset's largest token multiplicity, for multisets)
-        and the shards' minimum live record sizes — cannot reach the
-        threshold: shard vocabularies contain every group vocabulary and
-        the bound is monotone in the cap and antitone in the minimum
-        sizes, so the shard-pair bound dominates every group-pair bound
-        it covers.  Shards tile the record pairs exactly once, so the
-        sorted result is bit-identical to a single-engine join for any
-        shard count, placement, or per-shard partitioner.
+        One :func:`~repro.core.join.prefix_filter_join` over the union of
+        every shard's live members — the single engine's join over the
+        same records, so the result is bit-identical to it for any shard
+        count, placement, or per-shard partitioner.  It reads only group
+        memberships, so a lazy load builds no shard TGM for it.
         """
         if deadline is not None:
             deadline.check("before query execution")
-        stats = QueryStats()
-        pairs: list[tuple[int, int, float]] = []
-        # One group profile per shard, shared by the within-shard joins and
-        # every cross-shard call — not rebuilt once per shard pair.  The
-        # shard-level vocabulary and minimum size fall out of the profile
-        # (live members only, tighter than the lingering self._vocab bits):
-        # the profile's token columns *are* the shard's live vocabulary.
-        profiles = [
-            group_join_profiles(self.dataset, self._group_members_of(shard_id))
+        groups = [
+            members
             for shard_id in range(self.num_shards)
+            for members in self._group_members_of(shard_id)
         ]
-        shard_vocab = [columns for _, _, columns in profiles]
-        min_sizes = []
-        live_groups = []
-        for _, group_mins, _ in profiles:
-            live = group_mins[group_mins > 0]  # empty groups profile as 0
-            min_sizes.append(int(live.min()) if live.size else 0)
-            live_groups.append(int(live.size))
-        self_tasks = [
-            shard_id for shard_id in range(self.num_shards) if min_sizes[shard_id] > 0
-        ]
-        pair_tasks: list[tuple[int, int]] = []
-        multiplicity = max_token_multiplicity(self.dataset)
-        for s in self_tasks:
-            for t in range(s + 1, self.num_shards):
-                if min_sizes[t] == 0:
-                    continue
-                cap = multiplicity * len(
-                    np.intersect1d(shard_vocab[s], shard_vocab[t], assume_unique=True)
-                )
-                bound = best_feasible_pair_bound(
-                    self.measure, cap, min_sizes[s], min_sizes[t]
-                )
-                if bound < threshold:
-                    # Every live group pair the shard pair covers is pruned
-                    # in one stroke, without computing its cap or bound
-                    # (empty groups are never scored on the unpruned path
-                    # either, so the counters stay comparable).
-                    covered = live_groups[s] * live_groups[t]
-                    stats.groups_scored += covered
-                    stats.groups_pruned += covered
-                    continue
-                pair_tasks.append((s, t))
-        for s in self_tasks:
-            if deadline is not None:
-                deadline.check("join task")
-            fault_point("shard.exec", f"join_self:shard={s}")
-            result = similarity_self_join(
-                self.dataset, self.tgms[s], threshold, profiles=profiles[s],
-            )
-            pairs.extend(result.pairs)
-            stats.merge(result.stats)
-        for s, t in pair_tasks:
-            if deadline is not None:
-                deadline.check("join task")
-            fault_point("shard.exec", f"join_between:shard={s}")
-            result = similarity_join_between(
-                self.dataset, self.tgms[s], self.tgms[t], threshold,
-                profiles_a=profiles[s], profiles_b=profiles[t],
-            )
-            pairs.extend(result.pairs)
-            stats.merge(result.stats)
-        pairs.sort()
-        stats.result_size = len(pairs)
-        return JoinResult(pairs, stats)
+        return prefix_filter_join(self.dataset, groups, self.measure, threshold)
 
     # -- updates -----------------------------------------------------------
 

@@ -14,12 +14,14 @@ way to reach it is to arm it in-process around the code under test::
         assert engine.knn(query, k=5) == expected
 
 While armed, :func:`repro.core.columnar.make_verifier` returns ``None``
-(the visit helpers then verify record by record) and the join verifies
-each candidate pair with the scalar formula.  Answers must not change;
-``QueryStats`` must not change either, except the join's verification
-counters (the scalar walk size-filters Jaccard pairs before scoring them,
-the kernel scores every cell of a surviving group pair).  Disarmed,
-the check is one global read per query.  Arming is process-wide, like
+(the visit helpers then verify record by record), and the join is the
+plain all-pairs scalar walk over the live records — no prefix, no length
+filter, no group bound — so it is an independent reference for the
+prefix-filter join, which cannot hide a missed candidate behind a filter
+it shares.  Answers must not change; ``QueryStats`` must not change
+either, except the join's counters (the walk scores every pair of live
+records, the prefix-filter join only its candidates).  Disarmed, the
+check is one global read per query.  Arming is process-wide, like
 :mod:`repro.testing.faults`.
 """
 

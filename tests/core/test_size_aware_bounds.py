@@ -1,12 +1,11 @@
-"""Soundness of the size-aware group bound and of the size-capped join pair bound.
+"""Soundness of the size-aware group bound.
 
 A group bound must be at least the exact similarity of every *live*
 member — right after the build, after ``register`` widens a group's size
 range, after ``unregister`` leaves it loose, and after ``rebuild_bits``
-re-tightens it.  The join's group-pair bound, with each vocabulary cap
-lowered to the groups' largest member size, must be at least every pair
-it covers.  Both are checked for every registered measure, on sets and on
-multisets.
+re-tightens it.  It is checked for every registered measure, on sets and
+on multisets.  The :func:`corpus` strategy is shared with the join's
+property test (``test_join.py``).
 """
 
 from __future__ import annotations
@@ -18,12 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import Dataset
 from repro.core.engine import as_query_record
-from repro.core.join import (
-    _pair_bound_matrix,
-    _vocab_caps_self,
-    group_join_profiles,
-    max_token_multiplicity,
-)
 from repro.core.search import query_group_bounds
 from repro.core.similarity import MEASURES, JaccardSimilarity, Similarity, _SizePeakedMeasure
 from repro.core.tgm import TokenGroupMatrix
@@ -93,29 +86,6 @@ def test_group_bound_covers_every_live_member(name, multiset, backend, columnar,
     for group_id, members in enumerate(tgm.group_members):
         sizes = [len(dataset.records[i]) for i in members] or [0]
         assert (lo[group_id], hi[group_id]) == (min(sizes), max(sizes))
-
-
-@pytest.mark.parametrize("multiset", [False, True], ids=["set", "multiset"])
-@pytest.mark.parametrize("name", sorted(MEASURES))
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_capped_pair_bound_covers_every_pair(name, multiset, data):
-    lists, assignment, _, _, _ = data.draw(corpus(multiset))
-    measure = MEASURES[name]
-    dataset = Dataset.from_token_lists(lists)
-    groups = [[i for i, g in enumerate(assignment) if g == group] for group in range(5)]
-    tgm = TokenGroupMatrix(dataset, groups, measure)
-    vocab, min_sizes, _ = group_join_profiles(dataset, tgm.group_members)
-    _, max_sizes = tgm.size_ranges()
-    caps = _vocab_caps_self(vocab) * max_token_multiplicity(dataset)  # as the join does
-    bounds = _pair_bound_matrix(measure, caps, min_sizes, min_sizes, max_sizes, max_sizes)
-    for a, members_a in enumerate(groups):
-        for b, members_b in enumerate(groups):
-            for x in members_a:
-                for y in members_b:
-                    if x < y:  # the join reports Sim(S_x, S_y) with x < y
-                        similarity = measure(dataset.records[x], dataset.records[y])
-                        assert bounds[a, b] >= similarity
 
 
 class TestSizedBounds:

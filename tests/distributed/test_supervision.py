@@ -82,15 +82,13 @@ def _range(tokens):
     return QueryRequest.range(tokens, threshold=0.0)
 
 
-# The six ways a shard is reached: the detail prefix of its fault point,
+# The four ways a shard is reached: the detail prefix of its fault point,
 # and a call (engine, token lists) -> results that gets there.
 REACHES = {
     "knn": ("knn:shard=", lambda e, ts: [execute(e, _knn(ts[0]))]),
     "range": ("range:shard=", lambda e, ts: [execute(e, _range(ts[0]))]),
     "batch_knn": ("knn:shard=", lambda e, ts: execute_batch(e, [_knn(t) for t in ts])),
     "batch_range": ("range:shard=", lambda e, ts: execute_batch(e, [_range(t) for t in ts])),
-    "join_self": ("join_self:shard=", lambda e, ts: [execute(e, QueryRequest.join(0.2))]),
-    "join_between": ("join_between:shard=", lambda e, ts: [execute(e, QueryRequest.join(0.2))]),
 }
 
 

@@ -6,8 +6,8 @@ oracle (:mod:`repro.testing.oracle`) — on a
 single engine and on a 4-shard ``ShardedLES3`` saved and loaded with
 ``mode="memory"`` and ``mode="mmap"`` must return the same matches, for
 kNN, range and join.  Within one engine the ``QueryStats`` of every path
-agree too (the scalar join walk excepted: it counts size-filtered pairs
-differently by design), and the two loaded engines agree counter for
+agree too (the scalar join walk excepted: it scores every pair of live
+records by design), and the two loaded engines agree counter for
 counter.  Inserts of new sizes widen group size ranges and removes leave
 them loose, so the check is repeated after writes.
 """
